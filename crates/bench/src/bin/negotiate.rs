@@ -1,7 +1,7 @@
 //! Runs the E-X7 control-plane negotiation study: the asynchronous
 //! proposal/counter-proposal off-loading protocol under every
-//! (strategy × fault scenario) grid cell, against the synchronous
-//! reference plan.
+//! (strategy × fault scenario) grid cell, against the default plan
+//! (greedy over a reliable bus).
 //!
 //! ```text
 //! cargo run --release -p mmrepl-bench --bin negotiate

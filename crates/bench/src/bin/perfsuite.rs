@@ -22,7 +22,7 @@
 use mmrepl_bench::{BenchDoc, ScaleTimings, BENCH_SCHEMA};
 use mmrepl_core::{
     effective_threads, parallel_map, partition_all, restore_capacity, restore_storage,
-    NegotiateConfig, PlannerConfig, ReplicationPolicy, SiteWork,
+    ReplicationPolicy, SiteWork,
 };
 use mmrepl_model::{CostParams, Secs, SiteId};
 use mmrepl_online::{ChurnBudget, DeltaPlanner, EstimatorConfig, RateEstimator};
@@ -105,21 +105,6 @@ fn bench_scale(
         (Some(unc), Some(tree))
     } else {
         (None, None)
-    };
-
-    // Stage 4 as the asynchronous proposal/counter-proposal negotiation
-    // over a reliable bus: bit-identical placement, so the delta over
-    // `plan_s` is the protocol machinery (envelopes, dedup, caches).
-    let negotiate_s = if full {
-        let negotiated = ReplicationPolicy::with_config(PlannerConfig {
-            negotiation: Some(NegotiateConfig::default()),
-            ..PlannerConfig::default()
-        });
-        Some(time_median(iters, || {
-            std::hint::black_box(negotiated.plan_parallel(&system, 1));
-        }))
-    } else {
-        None
     };
 
     // Observability cost model: how many obs calls one traced plan makes
@@ -310,7 +295,6 @@ fn bench_scale(
         fig1_cell_s,
         estimator_ingest_s,
         delta_replan_s,
-        negotiate_s,
         // The serving-plane route metrics are measured by the `router`
         // bin, which amends the written document in place.
         route_mreq_s: None,
@@ -333,7 +317,7 @@ fn bench_scale(
         "{label:>6}: plan {:.4}s  plan(par,{auto_threads}t) {:.4}s  \
          plan(unconstrained) {}  plan(tree) {}  \
          storage {:.4}s  storage(par,{auto_threads}t) {:.4}s  capacity {:.4}s  \
-         fig1 cell {}  est ingest {}  delta replan {}  negotiate {}  obs overhead {}  \
+         fig1 cell {}  est ingest {}  delta replan {}  obs overhead {}  \
          telemetry overhead {}",
         t.plan_s,
         t.plan_par_s,
@@ -345,7 +329,6 @@ fn bench_scale(
         opt(t.fig1_cell_s),
         opt(t.estimator_ingest_s),
         opt(t.delta_replan_s),
-        opt(t.negotiate_s),
         pct(t.obs_overhead),
         pct(t.telemetry_overhead),
     );

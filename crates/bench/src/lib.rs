@@ -16,9 +16,9 @@ use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 
 /// The tracked baseline schema version. Bumped whenever the shape of
-/// `BENCH_PLANNER.json` changes (5 = the live-telemetry disabled-path
-/// overhead joined the planner timings).
-pub const BENCH_SCHEMA: u32 = 5;
+/// `BENCH_PLANNER.json` changes (6 = `negotiate_s` retired: stage 4 has
+/// one protocol, timed inside `plan_s`).
+pub const BENCH_SCHEMA: u32 = 6;
 
 /// The whole tracked baseline document (`BENCH_PLANNER.json`). Written
 /// by the `perfsuite` bin, amended in place by the `router` bin, and
@@ -108,12 +108,6 @@ pub struct ScaleTimings {
     /// pays per localized drift reaction (the cold plan is `plan_s`).
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub delta_replan_s: Option<f64>,
-    /// Full single-threaded `plan` with stage 4 run as the asynchronous
-    /// proposal/counter-proposal negotiation over a reliable bus (the
-    /// synchronous reference's cost is inside `plan_s`; the delta is the
-    /// protocol machinery — envelopes, dedup state, per-round caches).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub negotiate_s: Option<f64>,
     /// Snapshot routing throughput in millions of routed requests per
     /// second across the pool (the `router` bin; higher is better —
     /// `scripts/bench_regress.sh` inverts the comparison for `_mreq_s`

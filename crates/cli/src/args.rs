@@ -63,7 +63,7 @@ commands:
              under every strategy (greedy, deadline, auction) × fault
              scenario (reliable, lossy, chaos) grid cell, reporting
              protocol cost, resilience counters and placement agreement
-             with the synchronous planner. --central squeezes the
+             with the default plan. --central squeezes the
              repository to that fraction of its capacity (default 0.3).
   route      --system FILE [--placement FILE] [--seed N] [--storage F]
              [--processing F] [--threads N] [--out FILE]

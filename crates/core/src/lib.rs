@@ -20,13 +20,17 @@
 //!    download with the least performance loss *per unit of workload
 //!    freed* back to the repository, deallocating objects that lose their
 //!    last local mark;
-//! 4. [`offload`] — restore Eq. 9 with the distributed
+//! 4. [`offload`] + [`negotiate`] — restore Eq. 9 with the distributed
 //!    `OFF_LOADING_REPOSITORY` negotiation: sites report
 //!    `(Space(S_i), P(S_i), P(S_i,R))` status messages over a simulated
 //!    control plane, the repository pushes excess workload back
 //!    proportionally to headroom (L1 = sites with space and cpu, L2 = cpu
 //!    only), sites absorb what they can and acknowledge, over as many
-//!    rounds as needed.
+//!    rounds as needed. [`negotiate`] is the one protocol: its default
+//!    configuration (greedy rounds over a reliable bus) is the paper's
+//!    stage 4, and seeded bus faults and alternative strategies are knobs
+//!    on the same run; [`offload`] holds the round arithmetic and the
+//!    site-side absorption it shares.
 //!
 //! [`planner::ReplicationPolicy`] glues the stages together and returns the
 //! final [`mmrepl_model::Placement`] plus a [`planner::PlanReport`] of what
@@ -71,12 +75,11 @@ pub use bits::DenseBits;
 pub use capacity::{restore_capacity, CapacityReport};
 pub use lazyheap::LazyMinHeap;
 pub use negotiate::{
-    run_negotiation, run_negotiation_with, NegotiateConfig, NegotiateMsg, NegotiateOutcome,
-    NegotiateReport, Negotiator, RoundCtx, StrategyKind,
+    run_negotiation, NegotiateConfig, NegotiateMsg, NegotiateOutcome, NegotiateReport, StrategyKind,
 };
 pub use offload::{
     absorb_workload, paper_round_plan, run_offload, Assignment, AssignmentRule, OffloadConfig,
-    OffloadError, OffloadOutcome, OffloadReport, RoundPlan,
+    OffloadOutcome, OffloadReport, RoundPlan,
 };
 pub use partition::{
     optimal_partition, partition_all, partition_all_ordered, partition_all_with, partition_page,

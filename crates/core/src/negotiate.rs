@@ -1,10 +1,9 @@
-//! Asynchronous off-loading negotiation over a *faulty* control plane.
-//!
-//! [`crate::offload::run_offload`] drives Section 4.2's rounds over a
-//! perfectly reliable bus: every message arrives, exactly once, in
-//! order. This module re-runs the same negotiation as a typed
-//! proposal/counter-proposal protocol that survives the bus's seeded
-//! fault injection ([`mmrepl_netsim::FaultConfig`]):
+//! The off-loading protocol: `OFF_LOADING_REPOSITORY` as typed
+//! proposal/counter-proposal messages over the netsim control plane,
+//! robust to the bus's seeded fault injection
+//! ([`mmrepl_netsim::FaultConfig`]). With the default configuration —
+//! greedy strategy, reliable bus — it is the paper's stage 4, which the
+//! planner and [`crate::offload::run_offload`] run.
 //!
 //! * the repository sends [`NegotiateMsg::Offer`]s (round-stamped
 //!   workload proposals) and sites answer with
@@ -32,19 +31,19 @@
 //! declaring Eq. 9 restored when it is not; the final report recomputes
 //! the repository load from the authoritative site states.
 //!
-//! Strategies are pluggable via [`Negotiator`]:
-//! [`GreedyProportional`] reuses [`crate::offload::paper_round_plan`]
-//! verbatim, so under a reliable bus the negotiation is **bit-identical**
-//! to the synchronous `OFF_LOADING_REPOSITORY` (property-tested);
-//! [`DeadlineBounded`] over-asks to converge within a round deadline;
-//! [`Auction`] lets the highest-headroom bidders take whole chunks.
+//! The [`StrategyKind`] plans each round from the repository's view:
+//! the greedy strategy runs [`crate::offload::paper_round_plan`]
+//! verbatim, the deadline-bounded one over-asks to converge within a
+//! round deadline, and the auction lets the highest-headroom bidders take
+//! whole chunks. Duplication and reordering without loss leave the
+//! greedy placement bit-identical to the reliable run (property-tested).
 
 use crate::offload::{
-    absorb_workload, classify, paper_round_plan, site_index, status_of, AssignmentRule,
-    OffloadConfig, OffloadReport, RoundPlan, StatusReport, EPS,
+    absorb_workload, classify, paper_round_plan, status_of, AssignmentRule, OffloadConfig,
+    OffloadReport, RoundPlan, StatusReport, EPS,
 };
 use crate::state::SiteWork;
-use mmrepl_model::Secs;
+use mmrepl_model::{Secs, SiteId};
 use mmrepl_netsim::{BusStats, Endpoint, Envelope, FaultConfig, MessageBus, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -94,16 +93,13 @@ pub enum NegotiateMsg {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum StrategyKind {
     /// The paper's proportional-to-headroom rounds
-    /// ([`GreedyProportional`]); bit-identical to [`run_offload`] on a
-    /// reliable bus.
-    ///
-    /// [`run_offload`]: crate::offload::run_offload
+    /// ([`paper_round_plan`]); the planner's stage 4.
     #[default]
     GreedyProportional,
-    /// [`DeadlineBounded`]: over-ask progressively so the negotiation
-    /// converges within a fixed round budget.
+    /// Over-ask progressively so the negotiation converges within
+    /// [`NegotiateConfig::deadline_rounds`].
     DeadlineBounded,
-    /// [`Auction`]: highest-headroom bidders absorb whole chunks.
+    /// Highest-headroom bidders absorb whole chunks.
     Auction,
 }
 
@@ -128,90 +124,42 @@ impl StrategyKind {
     }
 }
 
-/// A pluggable round planner: given the repository's current (possibly
-/// stale) view, decide the next round of offers. Implementations must be
-/// pure functions of the context — the driver owns all protocol state —
-/// which keeps every strategy replayable and fault-agnostic.
-pub trait Negotiator {
-    /// Strategy name, for reports.
-    fn name(&self) -> &'static str;
-    /// Plans one round of offers.
-    fn plan_round(&self, ctx: &RoundCtx<'_>) -> RoundPlan;
-}
-
-/// The repository's view when planning a round.
-pub struct RoundCtx<'a> {
-    /// Last-known per-site statuses (site order).
-    pub statuses: &'a [StatusReport],
-    /// Sites demoted to L3 (exhausted, or degraded after lost replies).
-    pub demoted: &'a [bool],
-    /// `C(R)` — the Eq. 9 budget, req/s.
-    pub repo_capacity: f64,
-    /// Excess-splitting rule for proportional strategies.
-    pub rule: AssignmentRule,
-    /// Current round (0-based).
-    pub round: usize,
-    /// The driver's hard round bound.
-    pub max_rounds: usize,
-}
-
-/// The paper's strategy: delegate to
-/// [`crate::offload::paper_round_plan`], the exact arithmetic
-/// `run_offload` executes — same classification, same splits, same
-/// floating-point operation order.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct GreedyProportional;
-
-impl Negotiator for GreedyProportional {
-    fn name(&self) -> &'static str {
-        "greedy"
-    }
-
-    fn plan_round(&self, ctx: &RoundCtx<'_>) -> RoundPlan {
-        paper_round_plan(ctx.statuses, ctx.demoted, ctx.repo_capacity, ctx.rule)
-    }
-}
-
-/// Over-asks so the negotiation lands within `deadline_rounds`: round
-/// `r` scales the paper's proportional ask by `deadline / (deadline − r)`
-/// (capped at each site's headroom), and the final pre-deadline round
-/// asks for full headroom outright. Trades absorbed-workload precision
-/// for fewer rounds — useful when control-plane time is the scarce
-/// resource (high latency or heavy loss).
-#[derive(Clone, Copy, Debug)]
-pub struct DeadlineBounded {
-    /// Rounds the negotiation should converge within.
-    pub deadline_rounds: usize,
-}
-
-impl Negotiator for DeadlineBounded {
-    fn name(&self) -> &'static str {
-        "deadline"
-    }
-
-    fn plan_round(&self, ctx: &RoundCtx<'_>) -> RoundPlan {
-        let base = paper_round_plan(ctx.statuses, ctx.demoted, ctx.repo_capacity, ctx.rule);
-        let RoundPlan::Assign(assignments) = base else {
-            return base;
-        };
-        let deadline = self.deadline_rounds.max(1);
-        let remaining = deadline.saturating_sub(ctx.round);
-        let boosted = assignments
-            .into_iter()
-            .map(|(i, amount, allow_alloc)| {
-                let headroom = ctx.statuses[i].headroom;
-                let ask = if remaining <= 1 {
-                    // Last round before the deadline: ask for everything
-                    // the site can take.
-                    headroom.max(amount)
-                } else {
-                    (amount * deadline as f64 / remaining as f64).min(headroom.max(amount))
-                };
-                (i, ask, allow_alloc)
-            })
-            .collect();
-        RoundPlan::Assign(boosted)
-    }
+/// The deadline-bounded strategy: over-asks so the negotiation lands
+/// within `deadline_rounds`. Round `round` scales the paper's
+/// proportional ask by `deadline / (deadline − round)` (capped at each
+/// site's headroom), and the final pre-deadline round asks for full
+/// headroom outright. Trades absorbed-workload precision for fewer
+/// rounds — useful when control-plane time is the scarce resource (high
+/// latency or heavy loss).
+fn deadline_round(
+    statuses: &[StatusReport],
+    demoted: &[bool],
+    repo_capacity: f64,
+    rule: AssignmentRule,
+    deadline_rounds: usize,
+    round: usize,
+) -> RoundPlan {
+    let base = paper_round_plan(statuses, demoted, repo_capacity, rule);
+    let RoundPlan::Assign(assignments) = base else {
+        return base;
+    };
+    let deadline = deadline_rounds.max(1);
+    let remaining = deadline.saturating_sub(round);
+    let boosted = assignments
+        .into_iter()
+        .map(|(i, amount, allow_alloc)| {
+            let headroom = statuses[i].headroom;
+            let ask = if remaining <= 1 {
+                // Last round before the deadline: ask for everything
+                // the site can take.
+                headroom.max(amount)
+            } else {
+                (amount * deadline as f64 / remaining as f64).min(headroom.max(amount))
+            };
+            (i, ask, allow_alloc)
+        })
+        .collect();
+    RoundPlan::Assign(boosted)
 }
 
 /// Auction-style rounds: every non-demoted site with headroom "bids" its
@@ -219,57 +167,48 @@ impl Negotiator for DeadlineBounded {
 /// whole-headroom chunks (ties broken by site order, L1 before L2 at the
 /// same index via classification order). Fewer, larger transfers —
 /// fewer messages, lumpier placement.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Auction;
-
-impl Negotiator for Auction {
-    fn name(&self) -> &'static str {
-        "auction"
+fn auction_round(statuses: &[StatusReport], demoted: &[bool], repo_capacity: f64) -> RoundPlan {
+    let p_r: f64 = statuses.iter().map(|s| s.repo_load).sum();
+    if p_r <= repo_capacity + EPS {
+        return RoundPlan::Met;
     }
-
-    fn plan_round(&self, ctx: &RoundCtx<'_>) -> RoundPlan {
-        let p_r: f64 = ctx.statuses.iter().map(|s| s.repo_load).sum();
-        if p_r <= ctx.repo_capacity + EPS {
-            return RoundPlan::Met;
-        }
-        let (l1, l2) = classify(ctx.statuses, ctx.demoted);
-        if l1.is_empty() && l2.is_empty() {
-            return RoundPlan::Stuck;
-        }
-        let mut bidders: Vec<(usize, bool)> = l1
-            .into_iter()
-            .map(|i| (i, true))
-            .chain(l2.into_iter().map(|i| (i, false)))
-            .collect();
-        bidders.sort_by(|a, b| {
-            ctx.statuses[b.0]
-                .headroom
-                .total_cmp(&ctx.statuses[a.0].headroom)
-                .then(a.0.cmp(&b.0))
-        });
-        let mut excess = p_r - ctx.repo_capacity;
-        let mut assignments = Vec::new();
-        for (i, allow_alloc) in bidders {
-            if excess <= EPS {
-                break;
-            }
-            let take = ctx.statuses[i].headroom.min(excess);
-            assignments.push((i, take, allow_alloc));
-            excess -= take;
-        }
-        RoundPlan::Assign(assignments)
+    let (l1, l2) = classify(statuses, demoted);
+    if l1.is_empty() && l2.is_empty() {
+        return RoundPlan::Stuck;
     }
+    let mut bidders: Vec<(usize, bool)> = l1
+        .into_iter()
+        .map(|i| (i, true))
+        .chain(l2.into_iter().map(|i| (i, false)))
+        .collect();
+    bidders.sort_by(|a, b| {
+        statuses[b.0]
+            .headroom
+            .total_cmp(&statuses[a.0].headroom)
+            .then(a.0.cmp(&b.0))
+    });
+    let mut excess = p_r - repo_capacity;
+    let mut assignments = Vec::new();
+    for (i, allow_alloc) in bidders {
+        if excess <= EPS {
+            break;
+        }
+        let take = statuses[i].headroom.min(excess);
+        assignments.push((i, take, allow_alloc));
+        excess -= take;
+    }
+    RoundPlan::Assign(assignments)
 }
 
-/// Asynchronous-negotiation knobs, layered on top of [`OffloadConfig`]
+/// Negotiation protocol knobs, layered on top of [`OffloadConfig`]
 /// (which keeps owning latency, `max_rounds`, `max_swaps` and the split
 /// rule).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct NegotiateConfig {
     /// Round-planning strategy.
     pub strategy: StrategyKind,
-    /// Round budget the [`DeadlineBounded`] strategy converges within
-    /// (ignored by the other strategies).
+    /// Round budget the [`StrategyKind::DeadlineBounded`] strategy
+    /// converges within (ignored by the other strategies).
     pub deadline_rounds: usize,
     /// Control-plane fault injection (drop/duplicate/reorder/jitter).
     pub faults: FaultConfig,
@@ -298,14 +237,31 @@ impl Default for NegotiateConfig {
 }
 
 impl NegotiateConfig {
-    /// Builds the configured strategy.
-    pub fn negotiator(&self) -> Box<dyn Negotiator> {
+    /// Plans round `round` with the configured strategy from the
+    /// repository's last-known (possibly stale) view. A pure function of
+    /// its arguments — the driver owns all protocol state — so every
+    /// strategy stays replayable and fault-agnostic.
+    fn plan_round(
+        &self,
+        statuses: &[StatusReport],
+        demoted: &[bool],
+        repo_capacity: f64,
+        rule: AssignmentRule,
+        round: usize,
+    ) -> RoundPlan {
         match self.strategy {
-            StrategyKind::GreedyProportional => Box::new(GreedyProportional),
-            StrategyKind::DeadlineBounded => Box::new(DeadlineBounded {
-                deadline_rounds: self.deadline_rounds.max(1),
-            }),
-            StrategyKind::Auction => Box::new(Auction),
+            StrategyKind::GreedyProportional => {
+                paper_round_plan(statuses, demoted, repo_capacity, rule)
+            }
+            StrategyKind::DeadlineBounded => deadline_round(
+                statuses,
+                demoted,
+                repo_capacity,
+                rule,
+                self.deadline_rounds,
+                round,
+            ),
+            StrategyKind::Auction => auction_round(statuses, demoted, repo_capacity),
         }
     }
 
@@ -326,7 +282,7 @@ impl NegotiateConfig {
 }
 
 /// What the negotiation did and what it cost.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct NegotiateReport {
     /// Strategy that ran.
     pub strategy: StrategyKind,
@@ -368,7 +324,7 @@ pub struct NegotiateReport {
 }
 
 impl NegotiateReport {
-    /// The subset of fields shared with the synchronous protocol, for
+    /// The stage-4 summary without the protocol-level counters, for
     /// report slots that expect an [`OffloadReport`].
     pub fn as_offload(&self) -> OffloadReport {
         OffloadReport {
@@ -391,21 +347,8 @@ impl NegotiateReport {
     pub fn aggregate(by_node: &[NegotiateReport]) -> NegotiateReport {
         let mut agg = NegotiateReport {
             strategy: by_node.first().map(|r| r.strategy).unwrap_or_default(),
-            rounds: 0,
-            retries: 0,
-            timeouts: 0,
-            degraded_sites: 0,
-            duplicates_ignored: 0,
-            stale_replies: 0,
-            replayed_counters: 0,
-            messages: 0,
-            control_time: 0.0,
-            initial_repo_load: 0.0,
-            final_repo_load: 0.0,
-            absorbed: 0.0,
-            swaps: 0,
             feasible: true,
-            bus: BusStats::default(),
+            ..NegotiateReport::default()
         };
         for r in by_node {
             agg.rounds = agg.rounds.max(r.rounds);
@@ -484,33 +427,16 @@ struct Tally {
     changed: bool,
 }
 
-/// Runs the configured strategy; see [`run_negotiation_with`].
+/// Drives the negotiation over `works` against a repository (or serving
+/// node) of capacity `repo_capacity` req/s, with `config.strategy`
+/// planning each round. Always terminates: rounds are bounded by
+/// `offload.max_rounds`, each exchange by `config.max_retries`, and the
+/// closing drain by fuel.
 pub fn run_negotiation(
     works: &mut [SiteWork<'_>],
     repo_capacity: f64,
     offload: &OffloadConfig,
     config: &NegotiateConfig,
-) -> NegotiateOutcome {
-    run_negotiation_with(
-        works,
-        repo_capacity,
-        offload,
-        config,
-        config.negotiator().as_ref(),
-    )
-}
-
-/// Drives the asynchronous negotiation over `works` against a repository
-/// (or serving node) of capacity `repo_capacity` req/s, with `strategy`
-/// planning each round. Always terminates: rounds are bounded by
-/// `offload.max_rounds`, each exchange by `config.max_retries`, and the
-/// closing drain by fuel.
-pub fn run_negotiation_with(
-    works: &mut [SiteWork<'_>],
-    repo_capacity: f64,
-    offload: &OffloadConfig,
-    config: &NegotiateConfig,
-    strategy: &dyn Negotiator,
 ) -> NegotiateOutcome {
     config
         .validate()
@@ -611,15 +537,13 @@ pub fn run_negotiation_with(
             believed_feasible = false;
             break;
         }
-        let ctx = RoundCtx {
-            statuses: &repo.statuses,
-            demoted: &repo.demoted,
+        let assignments = match config.plan_round(
+            &repo.statuses,
+            &repo.demoted,
             repo_capacity,
-            rule: offload.assignment,
-            round: rounds,
-            max_rounds: offload.max_rounds,
-        };
-        let assignments = match strategy.plan_round(&ctx) {
+            offload.assignment,
+            rounds,
+        ) {
             RoundPlan::Met => break, // unreachable: checked above
             RoundPlan::Stuck => {
                 believed_feasible = false;
@@ -735,7 +659,7 @@ pub fn run_negotiation_with(
     // belief: recompute Eq. 9 from the actual site states.
     let final_repo_load: f64 = works.iter().map(|w| w.repo_load()).sum();
     let report = NegotiateReport {
-        strategy: StrategyKind::parse(strategy.name()).unwrap_or_default(),
+        strategy: config.strategy,
         rounds,
         retries: tally.retries,
         timeouts: tally.timeouts,
@@ -803,6 +727,14 @@ fn pump(
             _ => break,
         }
     }
+}
+
+/// Position of `site`'s state in `works`.
+fn site_index(works: &[SiteWork<'_>], site: SiteId) -> usize {
+    works
+        .iter()
+        .position(|w| w.site() == site)
+        .expect("message for unknown site")
 }
 
 /// Fuel-bounded closing drain; returns messages left in flight.
@@ -964,7 +896,6 @@ fn handle(
 mod tests {
     use super::*;
     use crate::capacity::restore_capacity;
-    use crate::offload::run_offload;
     use crate::partition::partition_all;
     use crate::storage::restore_storage;
     use mmrepl_model::{CostParams, System};
@@ -995,42 +926,6 @@ mod tests {
                 )
             })
             .collect()
-    }
-
-    #[test]
-    fn reliable_bus_matches_synchronous_offload_bit_for_bit() {
-        let sys = generate_system(&WorkloadParams::small(), 2)
-            .unwrap()
-            .with_processing_fraction(1.2);
-        let mut sync_works = restored_works(&sys);
-        let initial: f64 = sync_works.iter().map(|w| w.repo_load()).sum();
-        let cap = initial * 0.7;
-        let sync = run_offload(&mut sync_works, cap, &OffloadConfig::default());
-
-        let mut async_works = restored_works(&sys);
-        let neg = run_negotiation(
-            &mut async_works,
-            cap,
-            &OffloadConfig::default(),
-            &NegotiateConfig::default(),
-        );
-
-        assert_eq!(
-            site_fingerprints(&sync_works),
-            site_fingerprints(&async_works)
-        );
-        assert_eq!(neg.report.rounds, sync.report.rounds);
-        assert!((neg.report.absorbed - sync.report.absorbed).abs() < 1e-12);
-        assert_eq!(neg.report.swaps, sync.report.swaps);
-        assert_eq!(neg.report.feasible, sync.report.feasible);
-        assert_eq!(neg.changed, sync.changed);
-        assert_eq!(neg.report.timeouts, 0);
-        assert_eq!(neg.report.retries, 0);
-        assert_eq!(neg.report.degraded_sites, 0);
-        assert_eq!(neg.report.bus.dropped, 0);
-        for w in &async_works {
-            w.validate_consistency();
-        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! `OFF_LOADING_REPOSITORY()` — Section 4.2's distributed negotiation,
-//! run as an actual message protocol over the simulated control plane.
+//! `OFF_LOADING_REPOSITORY()` — Section 4.2's distributed negotiation:
+//! its per-round arithmetic, the site-side absorption, and
+//! [`run_offload`], the stage-4 entry point.
 //!
 //! After every site has restored its own storage and processing
 //! constraints, each sends the repository a status message with its free
@@ -18,10 +19,15 @@
 //! A site that cannot absorb its assignment replies with what it managed
 //! and demotes itself to L3; the repository re-collects answers and
 //! iterates until the constraint is met or nobody can take more.
+//!
+//! The message protocol itself lives in [`crate::negotiate`];
+//! [`run_offload`] runs it with the paper's greedy rounds over a reliable
+//! bus. This module keeps what every negotiation strategy shares:
+//! [`paper_round_plan`] and [`absorb_workload`].
 
+use crate::negotiate::{run_negotiation, NegotiateConfig};
 use crate::state::{SiteWork, SlotKind, TotalF64};
-use mmrepl_model::{ObjectId, Secs, SiteId};
-use mmrepl_netsim::{Endpoint, MessageBus};
+use mmrepl_model::{ObjectId, Secs};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -75,76 +81,10 @@ pub struct StatusReport {
     pub repo_load: f64,
 }
 
-/// Protocol messages.
-#[derive(Clone, Debug, PartialEq)]
-pub enum OffloadMsg {
-    /// Site -> repository: current status.
-    Status(StatusReport),
-    /// Repository -> site: absorb `amount` req/s of repository workload;
-    /// `allow_alloc` says whether new objects may be stored (L1) or only
-    /// already-stored objects re-marked (L2).
-    NewReq {
-        /// Requested workload transfer, req/s.
-        amount: f64,
-        /// Whether the site may allocate new objects.
-        allow_alloc: bool,
-    },
-    /// Site -> repository: how much was absorbed, fresh status, and
-    /// whether the site is spent (moves itself to L3).
-    Absorbed {
-        /// Actually absorbed workload, req/s.
-        amount: f64,
-        /// Status after absorption.
-        status: StatusReport,
-        /// True when the site could not meet the request.
-        exhausted: bool,
-    },
-    /// Repository -> site: negotiation finished.
-    End,
-}
-
-/// A control-plane delivery failure the negotiation degraded around
-/// instead of aborting. The repository recovers the affected sites'
-/// status from their authoritative state and demotes them to L3 for the
-/// rest of the negotiation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OffloadError {
-    /// Status collection dried up before every site reported.
-    MissingStatus {
-        /// Sites expected to report.
-        expected: usize,
-        /// Status messages actually received.
-        received: usize,
-    },
-    /// A NewReq/Absorbed exchange lost messages mid-round.
-    MissingReply {
-        /// The negotiation round (0-based) the loss happened in.
-        round: usize,
-        /// Assignments whose replies never arrived.
-        outstanding: usize,
-    },
-}
-
-impl std::fmt::Display for OffloadError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            OffloadError::MissingStatus { expected, received } => write!(
-                f,
-                "status collection incomplete: {received} of {expected} sites reported"
-            ),
-            OffloadError::MissingReply { round, outstanding } => {
-                write!(f, "round {round}: {outstanding} assignment replies lost")
-            }
-        }
-    }
-}
-
-impl std::error::Error for OffloadError {}
-
 /// Result of the negotiation.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct OffloadReport {
-    /// Rounds of NewReq/Absorbed exchange.
+    /// Rounds of offer/counter exchange.
     pub rounds: usize,
     /// Total control-plane messages.
     pub messages: u64,
@@ -154,18 +94,15 @@ pub struct OffloadReport {
     pub initial_repo_load: f64,
     /// Repository workload after, req/s.
     pub final_repo_load: f64,
-    /// Total workload moved back to the sites, req/s. Degraded rounds
-    /// (`dropped > 0`) may undercount absorptions whose replies were
-    /// lost; `final_repo_load` stays authoritative.
+    /// Total workload moved back to the sites, req/s, as confirmed by
+    /// the sites' replies; `final_repo_load` stays authoritative.
     pub absorbed: f64,
     /// Object swaps performed by storage-full sites.
     pub swaps: usize,
     /// Whether Eq. 9 holds afterwards.
     pub feasible: bool,
-    /// Control-plane exchanges lost and degraded around (the affected
-    /// site's status is recovered from its authoritative state and the
-    /// site demoted to L3). Always zero with the deterministic
-    /// in-process bus.
+    /// Control-plane messages the bus dropped. Always zero on the
+    /// reliable bus [`run_offload`] uses.
     #[serde(default)]
     pub dropped: u64,
 }
@@ -183,7 +120,7 @@ pub(crate) const EPS: f64 = 1e-9;
 
 /// One round's offer to one site: `(site index, amount req/s,
 /// allow_alloc)` — exactly the triple `OFF_LOADING_REPOSITORY` sends as
-/// a `NewReq`.
+/// its `NewReq`.
 pub type Assignment = (usize, f64, bool);
 
 /// What a negotiation round should do, as decided from the repository's
@@ -222,14 +159,11 @@ pub(crate) fn classify(statuses: &[StatusReport], demoted: &[bool]) -> (Vec<usiz
     (l1, l2)
 }
 
-/// One round of `OFF_LOADING_REPOSITORY`'s assignment arithmetic, exactly
-/// as the synchronous loop computes it: classify L1/L2/L3, then split the
-/// excess `P(R) − C(R)` over L1 (storing allowed) and, if L1's headroom
-/// is short, the remainder over L2 (re-marking only).
-///
-/// Shared verbatim between [`run_offload`] and the asynchronous
-/// greedy-proportional negotiator (`crate::negotiate`), so the two paths
-/// are bit-identical given the same view of the sites.
+/// One round of `OFF_LOADING_REPOSITORY`'s assignment arithmetic:
+/// classify L1/L2/L3, then split the excess `P(R) − C(R)` over L1
+/// (storing allowed) and, if L1's headroom is short, the remainder over
+/// L2 (re-marking only). The greedy strategy of [`crate::negotiate`]
+/// runs it verbatim; the deadline-bounded strategy scales its asks.
 pub fn paper_round_plan(
     statuses: &[StatusReport],
     demoted: &[bool],
@@ -285,287 +219,20 @@ pub fn paper_round_plan(
     RoundPlan::Assign(assignments)
 }
 
-/// One delivery attempt with a single bounded retry, so one dropped
-/// control message degrades the round instead of aborting the process.
-fn recv(bus: &mut MessageBus<OffloadMsg>) -> Option<mmrepl_netsim::Envelope<OffloadMsg>> {
-    bus.deliver_next().or_else(|| bus.deliver_next())
-}
-
-/// Collects one status message per site into `statuses`. On delivery
-/// failure the missing sites' statuses are recovered from their
-/// authoritative [`SiteWork`] state and a typed error is returned; the
-/// caller decides how to degrade (it never needs to abort).
-fn collect_statuses(
-    bus: &mut MessageBus<OffloadMsg>,
-    works: &[SiteWork<'_>],
-    statuses: &mut [StatusReport],
-) -> Result<(), OffloadError> {
-    let mut received = vec![false; works.len()];
-    let mut seen = 0;
-    while seen < works.len() {
-        match recv(bus) {
-            Some(env) => {
-                if let (Endpoint::Site(site), OffloadMsg::Status(st)) = (env.from, env.payload) {
-                    let i = site_index(works, site);
-                    if !received[i] {
-                        received[i] = true;
-                        seen += 1;
-                    }
-                    statuses[i] = st;
-                }
-            }
-            None => {
-                for (i, got) in received.iter().enumerate() {
-                    if !got {
-                        statuses[i] = status_of(&works[i]);
-                    }
-                }
-                return Err(OffloadError::MissingStatus {
-                    expected: works.len(),
-                    received: seen,
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
-/// What one NewReq/Absorbed exchange round produced.
-#[derive(Debug)]
-struct RoundOutcome {
-    /// Workload absorbed according to the replies that arrived.
-    absorbed: f64,
-    /// Object swaps reported by the absorbing sites.
-    swaps: usize,
-    /// Whether any placement marks changed.
-    changed: bool,
-    /// Exchanges lost and degraded around.
-    dropped: u64,
-    /// The delivery failure, if the round degraded.
-    error: Option<OffloadError>,
-}
-
-/// Delivers one round's NewReq messages (each site absorbs on delivery
-/// and replies) and collects the Absorbed replies. The caller has
-/// already sent the NewReqs. On delivery failure the outstanding sites'
-/// statuses are recovered from their [`SiteWork`] state and those sites
-/// are demoted to L3 — the negotiation continues without them.
-fn run_round(
-    bus: &mut MessageBus<OffloadMsg>,
-    works: &mut [SiteWork<'_>],
-    statuses: &mut [StatusReport],
-    demoted: &mut [bool],
-    assignments: &[(usize, f64, bool)],
-    max_swaps: usize,
-    round: usize,
-) -> RoundOutcome {
-    let mut out = RoundOutcome {
-        absorbed: 0.0,
-        swaps: 0,
-        changed: false,
-        dropped: 0,
-        error: None,
-    };
-    let mut pending: Vec<usize> = assignments.iter().map(|&(i, _, _)| i).collect();
-    while !pending.is_empty() {
-        let Some(env) = recv(bus) else {
-            // Degrade: whoever never replied is read directly and sits
-            // out the rest of the negotiation. Their absorptions (if the
-            // NewReq did land) are reflected in the recovered status, so
-            // `final_repo_load` stays correct even though `absorbed`
-            // undercounts.
-            out.dropped += pending.len() as u64;
-            out.error = Some(OffloadError::MissingReply {
-                round,
-                outstanding: pending.len(),
-            });
-            for &i in &pending {
-                statuses[i] = status_of(&works[i]);
-                demoted[i] = true;
-            }
-            break;
-        };
-        match (env.from, env.to, env.payload) {
-            (
-                Endpoint::Repository,
-                Endpoint::Site(site),
-                OffloadMsg::NewReq {
-                    amount,
-                    allow_alloc,
-                },
-            ) => {
-                let i = site_index(works, site);
-                let cfg_swaps = if allow_alloc { 0 } else { max_swaps };
-                let result = absorb_workload(&mut works[i], amount, allow_alloc, cfg_swaps);
-                #[cfg(feature = "audit")]
-                crate::audit::assert_consistent(&works[i], crate::audit::AuditStage::OffloadRound);
-                out.swaps += result.swaps;
-                if result.absorbed > EPS {
-                    out.changed = true;
-                }
-                bus.send(
-                    Endpoint::Site(site),
-                    Endpoint::Repository,
-                    OffloadMsg::Absorbed {
-                        amount: result.absorbed,
-                        status: status_of(&works[i]),
-                        exhausted: result.exhausted,
-                    },
-                );
-            }
-            (
-                Endpoint::Site(site),
-                Endpoint::Repository,
-                OffloadMsg::Absorbed {
-                    amount,
-                    status,
-                    exhausted,
-                },
-            ) => {
-                let i = site_index(works, site);
-                statuses[i] = status;
-                if exhausted {
-                    demoted[i] = true;
-                }
-                out.absorbed += amount;
-                pending.retain(|&p| p != i);
-            }
-            // Anything else (a stray End, a duplicate) is a protocol
-            // anomaly: ignore it rather than abort the negotiation.
-            _ => out.dropped += 1,
-        }
-    }
-    out
-}
-
-/// Runs the negotiation over `works` (one [`SiteWork`] per site, in site-id
-/// order) against a repository of capacity `repo_capacity` req/s.
+/// Runs `OFF_LOADING_REPOSITORY` over `works` (one [`SiteWork`] per site,
+/// in site-id order) against a repository of capacity `repo_capacity`
+/// req/s: the paper's greedy rounds over a reliable control plane, i.e.
+/// [`run_negotiation`] under [`NegotiateConfig::default`].
 pub fn run_offload(
     works: &mut [SiteWork<'_>],
     repo_capacity: f64,
     config: &OffloadConfig,
 ) -> OffloadOutcome {
-    let mut bus: MessageBus<OffloadMsg> = MessageBus::new(config.bus_latency);
-
-    // Sites report status.
-    for w in works.iter() {
-        bus.send(
-            Endpoint::Site(w.site()),
-            Endpoint::Repository,
-            OffloadMsg::Status(status_of(w)),
-        );
+    let out = run_negotiation(works, repo_capacity, config, &NegotiateConfig::default());
+    OffloadOutcome {
+        report: out.report.as_offload(),
+        changed: out.changed,
     }
-    let mut statuses: Vec<StatusReport> = vec![
-        StatusReport {
-            space: 0,
-            headroom: 0.0,
-            repo_load: 0.0
-        };
-        works.len()
-    ];
-    let mut dropped = 0u64;
-    if let Err(OffloadError::MissingStatus { expected, received }) =
-        collect_statuses(&mut bus, works, &mut statuses)
-    {
-        dropped += (expected - received) as u64;
-    }
-
-    let initial_repo_load: f64 = statuses.iter().map(|s| s.repo_load).sum();
-    let mut demoted = vec![false; works.len()]; // L3 by exhaustion
-    let mut report = OffloadReport {
-        rounds: 0,
-        messages: 0,
-        control_time: 0.0,
-        initial_repo_load,
-        final_repo_load: initial_repo_load,
-        absorbed: 0.0,
-        swaps: 0,
-        feasible: true,
-        dropped,
-    };
-    let mut changed = false;
-
-    loop {
-        let p_r: f64 = statuses.iter().map(|s| s.repo_load).sum();
-        report.final_repo_load = p_r;
-        if p_r <= repo_capacity + EPS {
-            break; // constraint met
-        }
-        if report.rounds >= config.max_rounds {
-            report.feasible = false;
-            break;
-        }
-
-        let assignments =
-            match paper_round_plan(&statuses, &demoted, repo_capacity, config.assignment) {
-                RoundPlan::Met => break, // unreachable: checked above
-                RoundPlan::Stuck => {
-                    report.feasible = false;
-                    break; // "CONSTRAINT CAN NOT BE RESTORED"
-                }
-                RoundPlan::Assign(a) => a,
-            };
-
-        // Send NewReq messages; sites absorb on delivery and reply.
-        for &(i, amount, allow_alloc) in &assignments {
-            bus.send(
-                Endpoint::Repository,
-                Endpoint::Site(works[i].site()),
-                OffloadMsg::NewReq {
-                    amount,
-                    allow_alloc,
-                },
-            );
-        }
-        let round = run_round(
-            &mut bus,
-            works,
-            &mut statuses,
-            &mut demoted,
-            &assignments,
-            config.max_swaps,
-            report.rounds,
-        );
-        report.swaps += round.swaps;
-        report.dropped += round.dropped;
-        if round.changed {
-            changed = true;
-        }
-        let round_absorbed = round.absorbed;
-        report.rounds += 1;
-        report.absorbed += round_absorbed;
-        if round_absorbed <= EPS {
-            // Nobody moved: terminate rather than spin.
-            report.feasible =
-                statuses.iter().map(|s| s.repo_load).sum::<f64>() <= repo_capacity + EPS;
-            break;
-        }
-    }
-
-    // Tell everyone we're done.
-    for w in works.iter() {
-        bus.send(
-            Endpoint::Repository,
-            Endpoint::Site(w.site()),
-            OffloadMsg::End,
-        );
-    }
-    while bus.deliver_next().is_some() {}
-
-    report.final_repo_load = statuses.iter().map(|s| s.repo_load).sum();
-    if report.final_repo_load > repo_capacity + EPS {
-        report.feasible = false;
-    }
-    report.messages = bus.stats().delivered;
-    report.control_time = bus.now().get();
-    if mmrepl_obs::enabled() {
-        mmrepl_obs::add("offload.rounds", report.rounds as u64);
-        mmrepl_obs::add("offload.messages", report.messages);
-        mmrepl_obs::add("offload.swaps", report.swaps as u64);
-        mmrepl_obs::add("offload.dropped", report.dropped);
-        mmrepl_obs::record_value("offload.absorbed_reqps", report.absorbed);
-    }
-    OffloadOutcome { report, changed }
 }
 
 pub(crate) fn status_of(w: &SiteWork<'_>) -> StatusReport {
@@ -574,13 +241,6 @@ pub(crate) fn status_of(w: &SiteWork<'_>) -> StatusReport {
         headroom: w.headroom(),
         repo_load: w.repo_load(),
     }
-}
-
-pub(crate) fn site_index(works: &[SiteWork<'_>], site: SiteId) -> usize {
-    works
-        .iter()
-        .position(|w| w.site() == site)
-        .expect("message for unknown site")
 }
 
 /// Result of one site absorbing an assignment.
@@ -1164,85 +824,6 @@ mod tests {
         assert!(b_load <= 11.0 + 1e-9, "site B over-absorbed: {b_load}");
         for w in &works {
             assert!(w.storage_used() <= w.storage_capacity());
-            w.validate_consistency();
-        }
-    }
-
-    #[test]
-    fn lost_status_degrades_to_direct_recovery() {
-        let sys = generate_system(&WorkloadParams::small(), 10).unwrap();
-        let works = restored_works(&sys);
-        let mut bus: MessageBus<OffloadMsg> = MessageBus::new(Secs(0.1));
-        // Only the first site's status makes it onto the bus; the rest
-        // are lost. Collection must degrade, not panic.
-        bus.send(
-            Endpoint::Site(works[0].site()),
-            Endpoint::Repository,
-            OffloadMsg::Status(status_of(&works[0])),
-        );
-        let mut statuses = vec![
-            StatusReport {
-                space: 0,
-                headroom: 0.0,
-                repo_load: 0.0
-            };
-            works.len()
-        ];
-        let err = collect_statuses(&mut bus, &works, &mut statuses).unwrap_err();
-        assert_eq!(
-            err,
-            OffloadError::MissingStatus {
-                expected: works.len(),
-                received: 1
-            }
-        );
-        // Missing statuses were recovered from the authoritative state.
-        for (w, st) in works.iter().zip(&statuses) {
-            assert_eq!(*st, status_of(w));
-        }
-    }
-
-    #[test]
-    fn lost_reply_demotes_site_and_continues() {
-        let sys = generate_system(&WorkloadParams::small(), 11).unwrap();
-        let sys = sys.with_processing_fraction(1.3);
-        let mut works = restored_works(&sys);
-        let mut statuses: Vec<StatusReport> = works.iter().map(status_of).collect();
-        let mut demoted = vec![false; works.len()];
-        let mut bus: MessageBus<OffloadMsg> = MessageBus::new(Secs(0.1));
-        // Two assignments, but the second site's NewReq is lost in
-        // transit (never reaches the bus).
-        let assignments = vec![(0usize, 0.2f64, true), (1usize, 0.2f64, true)];
-        bus.send(
-            Endpoint::Repository,
-            Endpoint::Site(works[0].site()),
-            OffloadMsg::NewReq {
-                amount: 0.2,
-                allow_alloc: true,
-            },
-        );
-        let out = run_round(
-            &mut bus,
-            &mut works,
-            &mut statuses,
-            &mut demoted,
-            &assignments,
-            0,
-            0,
-        );
-        // Site 0's exchange completed; site 1 was degraded around: its
-        // status recovered from state and the site demoted to L3.
-        assert_eq!(
-            out.error,
-            Some(OffloadError::MissingReply {
-                round: 0,
-                outstanding: 1
-            })
-        );
-        assert_eq!(out.dropped, 1);
-        assert!(demoted[1]);
-        assert_eq!(statuses[1], status_of(&works[1]));
-        for w in &works {
             w.validate_consistency();
         }
     }

@@ -3,7 +3,7 @@
 
 use crate::capacity::{restore_capacity, CapacityReport};
 use crate::negotiate::{run_negotiation, NegotiateConfig, NegotiateReport};
-use crate::offload::{run_offload, OffloadConfig, OffloadOutcome, OffloadReport};
+use crate::offload::{OffloadConfig, OffloadReport};
 use crate::partition::partition_all;
 use crate::select::{select_ancestors, AncestorPolicy, Selection};
 use crate::state::SiteWork;
@@ -40,14 +40,12 @@ pub struct PlannerConfig {
     /// default; a no-op on star and single-node systems.
     #[serde(default)]
     pub reselect: bool,
-    /// Run stage 4 as the asynchronous proposal/counter-proposal
-    /// protocol ([`crate::negotiate`]) instead of the synchronous
-    /// reference rounds. With the default (reliable, greedy) knobs the
-    /// placement is bit-identical to the synchronous protocol; seeded
-    /// fault injection and alternative strategies live behind this knob.
-    /// `None` (the default) keeps the synchronous path.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub negotiation: Option<NegotiateConfig>,
+    /// Stage 4's protocol knobs ([`crate::negotiate`]). The default —
+    /// greedy rounds over a reliable bus — is the paper's
+    /// `OFF_LOADING_REPOSITORY`; seeded fault injection and alternative
+    /// strategies live behind this knob.
+    #[serde(default)]
+    pub negotiation: NegotiateConfig,
 }
 
 /// What each stage of the pipeline did, per site where applicable.
@@ -57,7 +55,8 @@ pub struct PlanReport {
     pub storage: Vec<StorageReport>,
     /// Per-site capacity restoration summaries (site-id order).
     pub capacity: Vec<CapacityReport>,
-    /// The repository off-loading negotiation summary.
+    /// The repository off-loading negotiation summary
+    /// ([`PlanReport::negotiation`] without the protocol counters).
     pub offload: OffloadReport,
     /// Final feasibility verdict over Eq. 8-10.
     pub feasible: bool,
@@ -84,12 +83,11 @@ pub struct PlanReport {
     /// serving node changed in the measured-demand re-selection pass.
     #[serde(default)]
     pub reselections: usize,
-    /// Present when stage 4 ran as the asynchronous negotiation
-    /// ([`PlannerConfig::negotiation`]): protocol-level accounting
-    /// (retries, timeouts, degraded sites, bus fault counters). The
-    /// [`PlanReport::offload`] summary is derived from it either way.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub negotiation: Option<NegotiateReport>,
+    /// Stage 4's protocol-level accounting (retries, timeouts, degraded
+    /// sites, bus fault counters); tree systems aggregate their per-node
+    /// negotiations.
+    #[serde(default)]
+    pub negotiation: NegotiateReport,
 }
 
 /// A planned placement plus its report.
@@ -393,70 +391,40 @@ impl ReplicationPolicy {
         // protocol, bit-identical to before the tree refactor). On tree
         // systems each serving node negotiates with its own client group
         // against the node's Eq. 9 budget.
-        // Either protocol fills the same per-group slot: the synchronous
-        // reference rounds, or (when configured) the asynchronous
-        // proposal/counter-proposal negotiation, whose richer report is
-        // carried alongside the derived offload summary.
-        let negotiate_cfg = self.config.negotiation;
-        let offload_cfg = self.config.offload;
-        let offload_group =
-            |ws: &mut [SiteWork<'_>], cap: f64| -> (OffloadOutcome, Option<NegotiateReport>) {
-                match &negotiate_cfg {
-                    Some(ncfg) => {
-                        let out = run_negotiation(ws, cap, &offload_cfg, ncfg);
-                        (
-                            OffloadOutcome {
-                                report: out.report.as_offload(),
-                                changed: out.changed,
-                            },
-                            Some(out.report),
-                        )
-                    }
-                    None => (run_offload(ws, cap, &offload_cfg), None),
-                }
-            };
-        let stage_span = if negotiate_cfg.is_some() {
-            "plan.negotiate"
-        } else {
-            "plan.offload"
+        let negotiate = |ws: &mut [SiteWork<'_>], cap: f64| {
+            run_negotiation(ws, cap, &self.config.offload, &self.config.negotiation).report
         };
-        let (offload, offload_by_node, negotiation) = match &selection {
-            None => {
-                let repo_cap = system.repository().capacity.get();
-                let (out, neg) = {
-                    let _s = mmrepl_obs::span(stage_span);
-                    offload_group(&mut works, repo_cap)
-                };
-                (out.report, Vec::new(), neg)
-            }
-            Some(sel) => {
-                let _s = mmrepl_obs::span(stage_span);
-                let topo = system.topology().expect("selection implies topology");
-                // Group the per-site states contiguously by serving node
-                // (ascending node, then site id — deterministic). The
-                // final assembly indexes by page id, so reordering the
-                // works is placement-neutral.
-                works.sort_by_key(|w| (sel.serving[w.site()].index(), w.site()));
-                let mut by_node = Vec::new();
-                let mut neg_by_node = Vec::new();
-                let mut start = 0;
-                while start < works.len() {
-                    let node = sel.serving[works[start].site()];
-                    let mut end = start;
-                    while end < works.len() && sel.serving[works[end].site()] == node {
-                        end += 1;
+        let (negotiation, offload_by_node) = {
+            let _s = mmrepl_obs::span("plan.offload");
+            match &selection {
+                None => (
+                    negotiate(&mut works, system.repository().capacity.get()),
+                    Vec::new(),
+                ),
+                Some(sel) => {
+                    let topo = system.topology().expect("selection implies topology");
+                    // Group the per-site states contiguously by serving
+                    // node (ascending node, then site id — deterministic).
+                    // The final assembly indexes by page id, so reordering
+                    // the works is placement-neutral.
+                    works.sort_by_key(|w| (sel.serving[w.site()].index(), w.site()));
+                    let mut by_node = Vec::new();
+                    let mut start = 0;
+                    while start < works.len() {
+                        let node = sel.serving[works[start].site()];
+                        let mut end = start;
+                        while end < works.len() && sel.serving[works[end].site()] == node {
+                            end += 1;
+                        }
+                        let cap = topo.node(node).capacity.get();
+                        by_node.push(negotiate(&mut works[start..end], cap));
+                        start = end;
                     }
-                    let cap = topo.node(node).capacity.get();
-                    let (out, neg) = offload_group(&mut works[start..end], cap);
-                    by_node.push(out.report);
-                    if let Some(neg) = neg {
-                        neg_by_node.push(neg);
-                    }
-                    start = end;
+                    (
+                        NegotiateReport::aggregate(&by_node),
+                        by_node.iter().map(NegotiateReport::as_offload).collect(),
+                    )
                 }
-                let negotiation =
-                    (!neg_by_node.is_empty()).then(|| NegotiateReport::aggregate(&neg_by_node));
-                (aggregate_offload(&by_node), by_node, negotiation)
             }
         };
 
@@ -514,7 +482,7 @@ impl ReplicationPolicy {
             objective,
             storage,
             capacity,
-            offload,
+            offload: negotiation.as_offload(),
             serving,
             offload_by_node,
             promotions,
@@ -524,35 +492,6 @@ impl ReplicationPolicy {
         };
         PlanOutcome { placement, report }
     }
-}
-
-/// Rolls per-node off-loading summaries into one report. Negotiations at
-/// distinct nodes run concurrently, so `rounds` and `control_time` take
-/// the slowest node while message and workload counters sum.
-fn aggregate_offload(by_node: &[OffloadReport]) -> OffloadReport {
-    let mut agg = OffloadReport {
-        rounds: 0,
-        messages: 0,
-        control_time: 0.0,
-        initial_repo_load: 0.0,
-        final_repo_load: 0.0,
-        absorbed: 0.0,
-        swaps: 0,
-        feasible: true,
-        dropped: 0,
-    };
-    for r in by_node {
-        agg.rounds = agg.rounds.max(r.rounds);
-        agg.messages += r.messages;
-        agg.control_time = agg.control_time.max(r.control_time);
-        agg.initial_repo_load += r.initial_repo_load;
-        agg.final_repo_load += r.final_repo_load;
-        agg.absorbed += r.absorbed;
-        agg.swaps += r.swaps;
-        agg.feasible &= r.feasible;
-        agg.dropped += r.dropped;
-    }
-    agg
 }
 
 #[cfg(test)]
@@ -635,57 +574,6 @@ mod tests {
             assert_eq!(b.report.offload_by_node.len(), 1);
             assert_eq!(b.report.promotions, 0);
         }
-    }
-
-    #[test]
-    fn reliable_negotiation_plan_is_bit_identical_to_synchronous() {
-        // A squeezed repository forces a real multi-round off-loading, so
-        // the comparison exercises the whole protocol, not the trivial
-        // zero-round exit.
-        let sys = small_system(13)
-            .with_processing_fraction(1.5)
-            .with_central_fraction(0.1);
-        let sync = ReplicationPolicy::new().plan(&sys);
-        let neg = ReplicationPolicy::with_config(PlannerConfig {
-            negotiation: Some(crate::negotiate::NegotiateConfig::default()),
-            ..PlannerConfig::default()
-        })
-        .plan(&sys);
-        assert_eq!(sync.placement, neg.placement);
-        assert_eq!(
-            sync.report.objective.to_bits(),
-            neg.report.objective.to_bits()
-        );
-        assert_eq!(sync.report.feasible, neg.report.feasible);
-        let nrep = neg.report.negotiation.expect("negotiation report present");
-        assert!(
-            sync.report.offload.rounds > 0,
-            "comparison must be non-trivial"
-        );
-        assert_eq!(nrep.rounds, sync.report.offload.rounds);
-        assert_eq!(nrep.swaps, sync.report.offload.swaps);
-        assert!((nrep.absorbed - sync.report.offload.absorbed).abs() < 1e-12);
-        assert_eq!(nrep.retries, 0);
-        assert_eq!(nrep.timeouts, 0);
-        assert!(sync.report.negotiation.is_none());
-    }
-
-    #[test]
-    fn negotiated_tree_plan_matches_synchronous_per_node() {
-        let tree = chain_tree(&small_system(14), ReqPerSec::INFINITE);
-        let sync = ReplicationPolicy::new().plan(&tree);
-        let neg = ReplicationPolicy::with_config(PlannerConfig {
-            negotiation: Some(crate::negotiate::NegotiateConfig::default()),
-            ..PlannerConfig::default()
-        })
-        .plan(&tree);
-        assert_eq!(sync.placement, neg.placement);
-        assert_eq!(sync.report.feasible, neg.report.feasible);
-        assert_eq!(
-            neg.report.offload_by_node.len(),
-            sync.report.offload_by_node.len()
-        );
-        assert!(neg.report.negotiation.is_some());
     }
 
     #[test]

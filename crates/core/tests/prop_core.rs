@@ -149,14 +149,19 @@ proptest! {
         }
     }
 
-    /// Acceptance property 1: under a reliable bus the asynchronous
-    /// proposal/counter-proposal negotiation (paper strategy) converges
-    /// to **exactly** the synchronous `OFF_LOADING_REPOSITORY` placement
-    /// — same per-site load/storage bit patterns, same rounds, same
-    /// absorbed workload, same feasibility verdict.
+    /// Duplication and reordering without loss are invisible to the
+    /// off-loading protocol: sequence dedup and the per-round counter
+    /// cache make every offer absorb exactly once, and each absorption
+    /// reads only its own site's state. So the paper strategy lands on
+    /// **exactly** the reliable-bus placement — same per-site
+    /// load/storage bit patterns, same rounds and swaps — and no site is
+    /// ever degraded, however many retries the reordering provokes.
     #[test]
-    fn reliable_negotiation_is_bit_identical_to_synchronous_offload(
+    fn duplicating_reordering_bus_matches_reliable_bus_bit_for_bit(
         seed in 0u64..300,
+        fault_seed in any::<u64>(),
+        duplicate in 0.0f64..0.9,
+        reorder in 0.0f64..0.9,
         cap_frac in 0.0f64..1.2,
         headroom in 1.0f64..1.6,
     ) {
@@ -173,20 +178,30 @@ proptest! {
                 })
                 .collect()
         };
-        let mut sync_works = build();
-        let before: f64 = sync_works.iter().map(|w| w.repo_load()).sum();
+        let mut reliable_works = build();
+        let before: f64 = reliable_works.iter().map(|w| w.repo_load()).sum();
         let cap = before * cap_frac;
-        let sync = run_offload(&mut sync_works, cap, &OffloadConfig::default());
-
-        let mut neg_works = build();
-        let neg = run_negotiation(
-            &mut neg_works,
+        let reliable = run_negotiation(
+            &mut reliable_works,
             cap,
             &OffloadConfig::default(),
             &NegotiateConfig::default(),
         );
 
-        for (a, b) in sync_works.iter().zip(&neg_works) {
+        let mut faulty_works = build();
+        let config = NegotiateConfig {
+            faults: FaultConfig {
+                drop: 0.0,
+                duplicate,
+                reorder,
+                jitter: Secs(0.0),
+                seed: fault_seed,
+            },
+            ..NegotiateConfig::default()
+        };
+        let faulty = run_negotiation(&mut faulty_works, cap, &OffloadConfig::default(), &config);
+
+        for (a, b) in reliable_works.iter().zip(&faulty_works) {
             prop_assert_eq!(a.site(), b.site());
             prop_assert_eq!(a.load().to_bits(), b.load().to_bits(), "site {}", a.site());
             prop_assert_eq!(a.repo_load().to_bits(), b.repo_load().to_bits(),
@@ -195,14 +210,11 @@ proptest! {
             prop_assert_eq!(a.total_d().to_bits(), b.total_d().to_bits(),
                 "site {}", a.site());
         }
-        prop_assert_eq!(neg.report.rounds, sync.report.rounds);
-        prop_assert!((neg.report.absorbed - sync.report.absorbed).abs() < 1e-12);
-        prop_assert_eq!(neg.report.swaps, sync.report.swaps);
-        prop_assert_eq!(neg.report.feasible, sync.report.feasible);
-        prop_assert_eq!(neg.changed, sync.changed);
-        prop_assert_eq!(neg.report.retries, 0);
-        prop_assert_eq!(neg.report.timeouts, 0);
-        prop_assert_eq!(neg.report.degraded_sites, 0);
+        prop_assert_eq!(faulty.report.rounds, reliable.report.rounds);
+        prop_assert_eq!(faulty.report.swaps, reliable.report.swaps);
+        prop_assert_eq!(faulty.report.feasible, reliable.report.feasible);
+        prop_assert_eq!(faulty.changed, reliable.changed);
+        prop_assert_eq!(faulty.report.degraded_sites, 0);
     }
 
     /// Acceptance property 2: under seeded loss / reorder / duplication /

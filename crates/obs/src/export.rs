@@ -206,7 +206,7 @@ fn fmt_time(s: f64) -> String {
 
 /// The canonical pipeline order for the stage table: planner stages in
 /// the order the planner runs them — with the negotiation sub-spans
-/// under `plan.negotiate`, where they execute — then the serving plane.
+/// under `plan.offload`, where they execute — then the serving plane.
 /// Spans not listed here (auxiliary or future stages) sort after the
 /// known ones, alphabetically, and `plan.total` always closes the table.
 const STAGE_ORDER: &[&str] = &[
@@ -216,7 +216,6 @@ const STAGE_ORDER: &[&str] = &[
     "plan.capacity_restore",
     "plan.restore.shard",
     "plan.offload",
-    "plan.negotiate",
     "negotiate.round",
     "negotiate.settle",
     "plan.assemble",
@@ -399,7 +398,7 @@ mod tests {
     fn stage_table_orders_negotiation_and_serving_spans_fed_in_reverse() {
         // Feed every canonical stage in exactly reversed order: the
         // table must still come out in pipeline order, with the
-        // negotiation sub-spans sitting under plan.negotiate.
+        // negotiation sub-spans sitting under plan.offload.
         let mut r = Recorder::with_cap(4);
         for (i, name) in STAGE_ORDER.iter().rev().enumerate() {
             r.record_span_ns(name, 1_000 * (i as u64 + 1));
@@ -414,7 +413,7 @@ mod tests {
                 pair[1]
             );
         }
-        assert!(pos("plan.negotiate") < pos("negotiate.round"), "{table}");
+        assert!(pos("plan.offload") < pos("negotiate.round"), "{table}");
         assert!(pos("negotiate.round") < pos("negotiate.settle"), "{table}");
         assert!(pos("negotiate.settle") < pos("serve.route"), "{table}");
     }

@@ -843,12 +843,12 @@ fn ref_partition_page(sys: &System, pid: PageId) -> PagePartition {
     }
 }
 
-/// Stage 4, as a plain sequential loop. The message protocol reduces to
-/// this because the bus is FIFO with uniform latency: all of a round's
-/// NewReq messages are delivered (and absorbed) in assignment order before
-/// any Absorbed reply, and each reply carries the status of its own site
-/// only, so refreshing each status right after its absorption is
-/// equivalent.
+/// Stage 4, as a plain sequential loop. The planner's reliable-bus
+/// negotiation reduces to this because the bus is FIFO with uniform
+/// latency: all of a round's offers are delivered (and absorbed) in
+/// assignment order before any counter, and each counter carries the
+/// status of its own site only, so refreshing each status right after
+/// its absorption is equivalent.
 fn ref_offload(refs: &mut [RefSite<'_>], repo_capacity: f64, config: &OffloadConfig) {
     #[derive(Clone, Copy)]
     struct Status {
@@ -1004,11 +1004,13 @@ fn unit(x: u64) -> f64 {
 /// The fuzzed system for oracle 1: a seeded small workload squeezed by
 /// seed-derived storage, processing and repository fractions, so the fuzz
 /// corpus exercises every restoration stage (including infeasible points).
+/// The repository gets 10-40 % of the all-remote load: after the local
+/// restorations most seeds still overload it, so most plans negotiate.
 fn fuzzed_system(seed: u64) -> System {
     let sys = generate_system(&WorkloadParams::small(), seed).expect("small params are valid");
     let storage = 0.3 + 0.9 * unit(splitmix64(seed ^ 0x5704_AA6E));
     let processing = 0.5 + 1.0 * unit(splitmix64(seed ^ 0xCAFA_C117));
-    let central = 0.6 + 0.9 * unit(splitmix64(seed ^ 0x0C3A_7EA1));
+    let central = 0.1 + 0.3 * unit(splitmix64(seed ^ 0x0C3A_7EA1));
     sys.with_storage_fraction(storage)
         .with_processing_fraction(processing)
         .with_central_fraction(central)
@@ -1312,6 +1314,22 @@ mod tests {
         for seed in 0..8 {
             oracle_dense_vs_reference(seed).unwrap();
         }
+    }
+
+    #[test]
+    fn fuzz_corpus_exercises_offloading() {
+        // Stage 4 is checked against an independent implementation only
+        // here, so most fuzzed systems must actually negotiate.
+        let offloading = (0..64)
+            .filter(|&seed| {
+                let plan = ReplicationPolicy::new().plan(&fuzzed_system(seed));
+                plan.report.offload.rounds > 0
+            })
+            .count();
+        assert!(
+            offloading >= 32,
+            "only {offloading} of 64 fuzzed systems ran an off-loading round"
+        );
     }
 
     #[test]

@@ -33,8 +33,8 @@
 //! * [`negotiate`] — E-X7: the asynchronous off-loading negotiation
 //!   under control-plane faults — negotiation strategies × seeded
 //!   drop/duplicate/reorder/jitter scenarios, reporting protocol cost,
-//!   resilience counters and placement agreement with the synchronous
-//!   reference;
+//!   resilience counters and placement agreement with the default
+//!   (greedy, reliable-bus) plan;
 //! * [`des`] — an event-driven replay twin that must agree exactly with
 //!   the analytic queueing replay;
 //! * [`breakdown`] — per-site result reporting (regional asymmetry).

@@ -3,12 +3,11 @@
 //! the repository's control plane is faulty.
 //!
 //! Every run squeezes the repository hard enough to force a real
-//! multi-round off-loading, plans once with the synchronous reference
-//! protocol, and then re-plans under every (strategy × fault scenario)
-//! cell of the grid:
+//! multi-round off-loading, plans once with the default configuration
+//! (greedy over a reliable bus — the planner's stage 4), and then
+//! re-plans under every (strategy × fault scenario) cell of the grid:
 //!
-//! * **strategies** — `greedy` (the paper's proportional rounds,
-//!   bit-identical to the synchronous planner on a reliable bus),
+//! * **strategies** — `greedy` (the paper's proportional rounds),
 //!   `deadline` (over-asks to converge within a round budget) and
 //!   `auction` (highest-headroom sites take whole chunks);
 //! * **scenarios** — `reliable` (no faults), `lossy`
@@ -16,8 +15,8 @@
 //!   reordering, sub-latency jitter) and `chaos`
 //!   ([`FaultConfig::chaos`]: 25 % loss, multi-latency jitter).
 //!
-//! Reported per cell: placement agreement with the synchronous
-//! reference, protocol cost (rounds, messages, simulated control time)
+//! Reported per cell: placement agreement with the default plan,
+//! protocol cost (rounds, messages, simulated control time)
 //! and resilience counters (retries, timeouts, degraded sites).
 
 use crate::experiment::ExperimentConfig;
@@ -61,8 +60,8 @@ pub struct NegotiateCell {
     pub absorbed: f64,
     /// Runs whose final placement satisfied Eq. 8-10.
     pub feasible_runs: usize,
-    /// Runs whose placement was byte-identical to the synchronous
-    /// reference plan (expected: all, for `greedy` × `reliable`).
+    /// Runs whose placement was byte-identical to the default plan
+    /// (all, for `greedy` × `reliable`, which is that plan).
     pub placements_match: usize,
 }
 
@@ -139,7 +138,7 @@ fn scenario_faults(name: &str, seed: u64) -> FaultConfig {
 
 /// Runs the study: `cfg.runs` independent workloads, each squeezed to
 /// `central_fraction` of its repository capacity and planned under every
-/// grid cell plus the synchronous reference.
+/// grid cell plus the default plan as the reference.
 pub fn negotiate_study(cfg: &ExperimentConfig, central_fraction: f64) -> NegotiateStudy {
     // One run: per-cell (rounds, messages, control_time, retries,
     // timeouts, degraded, duplicates, absorbed, feasible, matches).
@@ -164,14 +163,11 @@ pub fn negotiate_study(cfg: &ExperimentConfig, central_fraction: f64) -> Negotia
                     ..NegotiateConfig::default()
                 };
                 let plan = ReplicationPolicy::with_config(PlannerConfig {
-                    negotiation: Some(negotiation),
+                    negotiation,
                     ..PlannerConfig::default()
                 })
                 .plan(&sys);
-                let rep = plan
-                    .report
-                    .negotiation
-                    .expect("negotiated plans carry the protocol report");
+                let rep = plan.report.negotiation;
                 samples.push((
                     rep.rounds as f64,
                     rep.messages as f64,
@@ -245,7 +241,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn greedy_reliable_cell_matches_the_synchronous_planner() {
+    fn greedy_reliable_cell_is_the_default_plan() {
         let mut cfg = ExperimentConfig::quick();
         cfg.runs = 2;
         let study = negotiate_study(&cfg, 0.1);

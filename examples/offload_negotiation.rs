@@ -1,6 +1,9 @@
 //! The distributed off-loading negotiation in action: squeeze the
 //! repository's processing capacity and watch the Section 4 protocol push
 //! workload back to the sites over the simulated control plane.
+//! `run_offload` is exactly the planner's stage 4: the proposal/counter
+//! protocol of `core::negotiate` with the paper's greedy rounds over a
+//! reliable bus.
 //!
 //! ```text
 //! cargo run --release --example offload_negotiation

@@ -96,7 +96,7 @@ print(f"  route ok: {doc['total']['requests']} requests, "
       f"{doc['total']['objects']} objects, 0 misroutes (audit-verified)")
 EOF
 
-echo "==> negotiation smoke (reliable bus: async placement == synchronous planner)"
+echo "==> negotiation smoke (greedy/reliable cell == default plan, no protocol faults)"
 cargo run --offline -p mmrepl-cli --bin mmrepl -- \
     negotiate --central 0.1 --runs 2 --seed 11 \
     --out "$SMOKE_OUT/negotiate.json" >/dev/null
@@ -108,7 +108,7 @@ for cell in doc["cells"]:
     if cell["scenario"] == "reliable" and cell["strategy"] == "greedy":
         if cell["placements_match"] != runs:
             print(f"error: greedy/reliable matched only "
-                  f"{cell['placements_match']}/{runs} synchronous placements",
+                  f"{cell['placements_match']}/{runs} default placements",
                   file=sys.stderr)
             sys.exit(1)
         if cell["retries"] or cell["timeouts"] or cell["degraded_sites"]:
@@ -119,7 +119,7 @@ greedy = [c for c in doc["cells"]
 if not greedy or greedy[0]["rounds"] < 1:
     print("error: the squeeze produced no negotiation rounds", file=sys.stderr)
     sys.exit(1)
-print(f"  negotiate ok: greedy/reliable bit-identical over {runs} run(s), "
+print(f"  negotiate ok: greedy/reliable matches the default plan over {runs} run(s), "
       f"{greedy[0]['rounds']:.1f} rounds")
 EOF
 
