@@ -150,7 +150,7 @@ pub type GdsRouter = CachingRouter<GdsCache>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::router::RequestRouter;
+    use crate::router::{RequestRouter, RouteDecision};
     use mmrepl_model::{default_site, MediaObject, ReqPerSec, SystemBuilder, WebPage};
 
     fn system_with_sizes(storage_kib: u64, sizes_kib: &[u64]) -> System {
@@ -228,10 +228,11 @@ mod tests {
         let mut router = GdsRouter::new(&sys);
         assert_eq!(router.name(), "gds");
         let page = mmrepl_model::PageId::new(0);
-        let d1 = router.route(&sys, page, &[]);
-        assert_eq!(d1.n_local(), 0);
-        let d2 = router.route(&sys, page, &[]);
-        assert_eq!(d2.n_local(), 3);
+        let mut d = RouteDecision::default();
+        router.route(&sys, page, &[], &mut d);
+        assert_eq!(d.n_local(), 0);
+        router.route(&sys, page, &[], &mut d);
+        assert_eq!(d.n_local(), 3);
         assert_eq!(router.hits(), 3);
         assert_eq!(router.misses(), 3);
     }

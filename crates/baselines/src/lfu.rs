@@ -112,7 +112,7 @@ pub type LfuRouter = CachingRouter<LfuCache>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::router::RequestRouter;
+    use crate::router::{RequestRouter, RouteDecision};
     use mmrepl_model::{default_site, MediaObject, ReqPerSec, SystemBuilder, WebPage};
 
     fn system_with_sizes(sizes_kib: &[u64]) -> System {
@@ -197,8 +197,9 @@ mod tests {
         let mut router = LfuRouter::new(&sys);
         assert_eq!(router.name(), "lfu");
         let page = mmrepl_model::PageId::new(0);
-        router.route(&sys, page, &[]);
-        let d = router.route(&sys, page, &[]);
+        let mut d = RouteDecision::default();
+        router.route(&sys, page, &[], &mut d);
+        router.route(&sys, page, &[], &mut d);
         assert_eq!(d.n_local(), 2);
     }
 }

@@ -18,24 +18,32 @@
 //! Remote and Local are static placements; LRU is inherently dynamic, so
 //! the crate defines the [`RequestRouter`] abstraction the simulator
 //! drives: one routing decision per page request, with cache state carried
-//! between requests.
+//! between requests. A route writes into a caller-owned [`RouteDecision`]
+//! (cleared and refilled on every call), so the replay loops reuse one
+//! buffer rather than allocating per request.
+//!
+//! [`LruCache`] keeps its recency order as an intrusive list over a slot
+//! arena: hits, inserts and evictions are O(1) splices plus one hash
+//! lookup. The arena is keyed by object id and grows only with what a site
+//! has cached, never with the catalogue (see the [`lru`] module docs).
 //!
 //! ## Example
 //!
 //! ```
-//! use mmrepl_baselines::{LruRouter, RequestRouter};
+//! use mmrepl_baselines::{LruRouter, RequestRouter, RouteDecision};
 //! use mmrepl_workload::{generate_system, WorkloadParams};
 //!
 //! let system = generate_system(&WorkloadParams::small(), 1).unwrap();
 //! let mut lru = LruRouter::new(&system);
 //! let page = system.pages_of(system.sites().ids().next().unwrap())[0];
+//! let mut decision = RouteDecision::default();
 //!
 //! // Cold cache: everything misses and is fetched from the repository...
-//! let first = lru.route(&system, page, &[]);
-//! assert_eq!(first.n_local(), 0);
+//! lru.route(&system, page, &[], &mut decision);
+//! assert_eq!(decision.n_local(), 0);
 //! // ...after which the page's objects are cached and served locally.
-//! let second = lru.route(&system, page, &[]);
-//! assert!(second.n_local() > 0);
+//! lru.route(&system, page, &[], &mut decision);
+//! assert!(decision.n_local() > 0);
 //! ```
 
 pub mod cache;

@@ -21,20 +21,85 @@
 //! locally-served HTTP request spends one. The HTML document is always
 //! local and always spends a token — the same irreducible load our policy
 //! pays.
+//!
+//! ## Cache structure
+//!
+//! [`LruCache`] is a slot arena threaded by an intrusive doubly-linked
+//! recency list: the head is the least recently used entry, the tail the
+//! most recent. An object gets a slot on its first insert and keeps it
+//! after eviction (the slot is only unlinked), so a hit, an insert and an
+//! eviction are each O(1) list splices plus one hash lookup, and the
+//! replay allocates nothing once a site's working set has been seen.
+//! Eviction walks forward from the head skipping protected entries — the
+//! same order as evicting by ascending last-use time.
+//!
+//! The slot map is keyed by object id rather than indexing a dense
+//! per-object table: a table sized to the whole catalogue would cost every
+//! site memory proportional to the repository (about 180 MB per Figure 1
+//! cell at 100 sites × 150k objects), while the arena is bounded by what
+//! the site ever cached. It is not a catalogue fixed at construction
+//! either, because one router outlives the system it was built for when
+//! the drift and online studies replay it across drifted systems.
 
 use crate::cache::{ObjectCache, TokenBucket};
 use crate::router::{RequestRouter, RouteDecision};
 use mmrepl_model::{Bytes, ObjectId, PageId, SiteId, System};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
-/// A byte-capacity LRU set of objects.
+/// A multiplicative hasher for the slot map. An [`ObjectId`] hashes as a
+/// single `u32`, and ids are catalogue indices of the system being
+/// replayed rather than keys an adversary picks, so one odd-constant
+/// multiply (the Fibonacci / Fx scheme) spreads them well enough and
+/// costs far less than SipHash. `finish` rotates the product's well-mixed
+/// high bits down into the low bits the table indexes by, so ids that
+/// differ only in their high bits (strided ids) still spread.
+#[derive(Clone, Copy, Debug, Default)]
+struct IdHasher(u64);
+
+const ID_HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(ID_HASH_MUL);
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = (self.0.rotate_left(32) ^ u64::from(n)).wrapping_mul(ID_HASH_MUL);
+    }
+}
+
+/// End-of-list marker for [`Link`].
+const NIL: u32 = u32::MAX;
+
+/// One arena slot's place in the recency list.
+#[derive(Clone, Copy, Debug)]
+struct Link {
+    prev: u32,
+    next: u32,
+    cached: bool,
+}
+
+/// A byte-capacity LRU set of objects (see the module docs for the
+/// slot-list structure).
 #[derive(Clone, Debug)]
 pub struct LruCache {
     capacity: u64,
     used: u64,
-    clock: u64,
-    stamps: HashMap<ObjectId, u64>,
-    by_age: BTreeMap<u64, ObjectId>,
+    len: usize,
+    slots: HashMap<ObjectId, u32, BuildHasherDefault<IdHasher>>,
+    objects: Vec<ObjectId>,
+    links: Vec<Link>,
+    /// Least recently used cached slot.
+    head: u32,
+    /// Most recently used cached slot.
+    tail: u32,
 }
 
 impl LruCache {
@@ -43,20 +108,53 @@ impl LruCache {
         LruCache {
             capacity: capacity.get(),
             used: 0,
-            clock: 0,
-            stamps: HashMap::new(),
-            by_age: BTreeMap::new(),
+            len: 0,
+            slots: HashMap::default(),
+            objects: Vec::new(),
+            links: Vec::new(),
+            head: NIL,
+            tail: NIL,
         }
+    }
+
+    /// The slot of `object` if it is currently cached.
+    fn cached_slot(&self, object: ObjectId) -> Option<u32> {
+        self.slots
+            .get(&object)
+            .copied()
+            .filter(|&slot| self.links[slot as usize].cached)
+    }
+
+    fn unlink(&mut self, slot: u32) {
+        let Link { prev, next, .. } = self.links[slot as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.links[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.links[n as usize].prev = prev,
+        }
+    }
+
+    fn push_tail(&mut self, slot: u32) {
+        self.links[slot as usize].prev = self.tail;
+        self.links[slot as usize].next = NIL;
+        match self.tail {
+            NIL => self.head = slot,
+            t => self.links[t as usize].next = slot,
+        }
+        self.tail = slot;
     }
 
     /// Whether `object` is cached; a hit refreshes its recency.
     pub fn touch(&mut self, object: ObjectId) -> bool {
-        match self.stamps.get_mut(&object) {
-            Some(stamp) => {
-                self.by_age.remove(stamp);
-                self.clock += 1;
-                *stamp = self.clock;
-                self.by_age.insert(self.clock, object);
+        match self.cached_slot(object) {
+            Some(slot) => {
+                if slot != self.tail {
+                    self.unlink(slot);
+                    self.push_tail(slot);
+                }
                 true
             }
             None => false,
@@ -65,7 +163,7 @@ impl LruCache {
 
     /// Whether `object` is cached, without refreshing recency.
     pub fn contains(&self, object: ObjectId) -> bool {
-        self.stamps.contains_key(&object)
+        self.cached_slot(object).is_some()
     }
 
     /// Inserts `object` of the given size, evicting LRU entries as needed.
@@ -86,26 +184,43 @@ impl LruCache {
         if size > self.capacity {
             return false;
         }
-        // Evict oldest unprotected entries until it fits.
+        // Evict the oldest unprotected entries until it fits. Entries the
+        // walk skips stay protected, so it resumes after each victim
+        // instead of restarting at the head.
+        let mut cursor = self.head;
         while self.used + size > self.capacity {
-            let victim = self.by_age.iter().map(|(_, &k)| k).find(|&k| !protected(k));
-            match victim {
-                Some(k) => self.evict(system, k),
-                None => return false, // everything old is protected
+            while cursor != NIL && protected(self.objects[cursor as usize]) {
+                cursor = self.links[cursor as usize].next;
             }
+            if cursor == NIL {
+                return false; // everything old is protected
+            }
+            let victim = cursor;
+            cursor = self.links[victim as usize].next;
+            self.unlink(victim);
+            self.links[victim as usize].cached = false;
+            self.used -= system.object_size(self.objects[victim as usize]).get();
+            self.len -= 1;
         }
-        self.clock += 1;
-        self.stamps.insert(object, self.clock);
-        self.by_age.insert(self.clock, object);
+        let (objects, links) = (&mut self.objects, &mut self.links);
+        let slot = *self.slots.entry(object).or_insert_with(|| {
+            let slot = u32::try_from(objects.len())
+                .ok()
+                .filter(|&s| s != NIL)
+                .expect("LRU slot arena exceeds u32 slots");
+            objects.push(object);
+            links.push(Link {
+                prev: NIL,
+                next: NIL,
+                cached: false,
+            });
+            slot
+        });
+        self.links[slot as usize].cached = true;
+        self.push_tail(slot);
         self.used += size;
+        self.len += 1;
         true
-    }
-
-    fn evict(&mut self, system: &System, object: ObjectId) {
-        if let Some(stamp) = self.stamps.remove(&object) {
-            self.by_age.remove(&stamp);
-            self.used -= system.object_size(object).get();
-        }
     }
 
     /// Bytes currently cached.
@@ -120,12 +235,12 @@ impl LruCache {
 
     /// Number of cached objects.
     pub fn len(&self) -> usize {
-        self.stamps.len()
+        self.len
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.stamps.is_empty()
+        self.len == 0
     }
 }
 
@@ -227,7 +342,13 @@ impl<C: ObjectCache> CachingRouter<C> {
 }
 
 impl<C: ObjectCache> RequestRouter for CachingRouter<C> {
-    fn route(&mut self, system: &System, page: PageId, optional_slots: &[u32]) -> RouteDecision {
+    fn route(
+        &mut self,
+        system: &System,
+        page: PageId,
+        optional_slots: &[u32],
+        out: &mut RouteDecision,
+    ) {
         let pg = system.page(page);
         let state = &mut self.sites[pg.site.index()];
 
@@ -249,11 +370,15 @@ impl<C: ObjectCache> RequestRouter for CachingRouter<C> {
             }
         };
 
-        let local_compulsory: Vec<bool> = pg.compulsory.iter().map(|&k| serve(state, k)).collect();
-        let local_optional: Vec<bool> = optional_slots
-            .iter()
-            .map(|&s| serve(state, pg.optional[s as usize].object))
-            .collect();
+        out.local_compulsory.clear();
+        out.local_compulsory
+            .extend(pg.compulsory.iter().map(|&k| serve(state, k)));
+        out.local_optional.clear();
+        out.local_optional.extend(
+            optional_slots
+                .iter()
+                .map(|&s| serve(state, pg.optional[s as usize].object)),
+        );
 
         // Insert the misses (fetched from the repository, now cached).
         // The page's own objects are protected from eviction while doing
@@ -264,22 +389,17 @@ impl<C: ObjectCache> RequestRouter for CachingRouter<C> {
                     .iter()
                     .any(|&s| pg.optional[s as usize].object == k)
         };
-        for (slot, &k) in pg.compulsory.iter().enumerate() {
-            if !local_compulsory[slot] {
+        for (&k, &local) in pg.compulsory.iter().zip(&out.local_compulsory) {
+            if !local {
                 state.cache.insert(system, k, &protected);
             }
         }
-        for (i, &s) in optional_slots.iter().enumerate() {
-            if !local_optional[i] {
+        for (&s, &local) in optional_slots.iter().zip(&out.local_optional) {
+            if !local {
                 state
                     .cache
                     .insert(system, pg.optional[s as usize].object, &protected);
             }
-        }
-
-        RouteDecision {
-            local_compulsory,
-            local_optional,
         }
     }
 
@@ -362,13 +482,14 @@ mod tests {
         let (sys, _) = cache_fixture();
         let mut router = LruRouter::new(&sys);
         let pid = PageId::new(0);
+        let mut d = RouteDecision::default();
         // First request: all misses, everything from the repository.
-        let d1 = router.route(&sys, pid, &[]);
-        assert_eq!(d1.n_local(), 0);
+        router.route(&sys, pid, &[], &mut d);
+        assert_eq!(d.n_local(), 0);
         assert_eq!(router.misses(), 5);
         // Second request: fully cached (default site stores plenty).
-        let d2 = router.route(&sys, pid, &[]);
-        assert_eq!(d2.n_local(), 5);
+        router.route(&sys, pid, &[], &mut d);
+        assert_eq!(d.n_local(), 5);
         assert_eq!(router.hits(), 5);
     }
 
@@ -395,11 +516,13 @@ mod tests {
         let sys = b.build().unwrap();
         let mut router = LruRouter::new(&sys);
         let pid = PageId::new(0);
-        router.route(&sys, pid, &[]); // warm the cache
+        let mut d = RouteDecision::default();
+        router.route(&sys, pid, &[], &mut d); // warm the cache
         let mut total_local = 0;
         let n = 50;
         for _ in 0..n {
-            total_local += router.route(&sys, pid, &[]).n_local();
+            router.route(&sys, pid, &[], &mut d);
+            total_local += d.n_local();
         }
         // Budget: 2 tokens/request - 1 HTML = 1 object/request on average
         // (plus a small initial burst).
@@ -415,8 +538,9 @@ mod tests {
         let (sys, _) = cache_fixture(); // default site: 150 req/s, 1 page/s
         let mut router = LruRouter::new(&sys);
         let pid = PageId::new(0);
+        let mut d = RouteDecision::default();
         for _ in 0..20 {
-            router.route(&sys, pid, &[]);
+            router.route(&sys, pid, &[], &mut d);
         }
         assert_eq!(router.denied(), 0);
     }
@@ -431,12 +555,14 @@ mod tests {
             .find(|(_, p)| p.n_optional() >= 2)
             .expect("need optionals");
         let slots = [0u32, 1u32];
-        let d1 = router.route(&sys, pid, &slots);
-        assert_eq!(d1.local_optional.len(), 2);
-        // After the first (miss) pass the optionals are cached.
-        let d2 = router.route(&sys, pid, &slots);
-        assert_eq!(d2.local_optional, vec![true, true]);
-        let _ = page;
+        let mut d = RouteDecision::default();
+        router.route(&sys, pid, &slots, &mut d);
+        assert_eq!(d.local_optional.len(), 2);
+        // After the first (miss) pass the optionals are cached; the reused
+        // buffer is refilled, not appended to.
+        router.route(&sys, pid, &slots, &mut d);
+        assert_eq!(d.local_optional, vec![true, true]);
+        assert_eq!(d.local_compulsory.len(), page.n_compulsory());
     }
 
     #[test]
@@ -475,8 +601,9 @@ mod tests {
         let sys = b.build().unwrap();
         let mut router = LruRouter::new(&sys);
         let pid = PageId::new(0);
+        let mut d = RouteDecision::default();
         for _ in 0..10 {
-            router.route(&sys, pid, &[]);
+            router.route(&sys, pid, &[], &mut d);
         }
         // 5 objects, cache of 2: inserting each page's objects evicts the
         // previous ones (own objects protected), so most accesses miss.

@@ -4,11 +4,16 @@
 //! policy like LRU decides per request and mutates state (cache contents,
 //! capacity budget). [`RequestRouter`] unifies them so the simulator
 //! replays every policy through one code path.
+//!
+//! Routing writes into a caller-owned [`RouteDecision`]: the replay loops
+//! hold one buffer per call and every route clears and refills it, so a
+//! replayed request allocates nothing once the buffer has grown to the
+//! largest page.
 
 use mmrepl_model::{PageId, Placement, System};
 
 /// Where each object of one page request is served from.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RouteDecision {
     /// Per compulsory slot: `true` = local server, `false` = repository.
     pub local_compulsory: Vec<bool>,
@@ -27,10 +32,17 @@ impl RouteDecision {
 
 /// A policy able to route page requests.
 pub trait RequestRouter {
-    /// Routes one page request. `optional_slots` lists the optional-object
-    /// slots this user fetches after the page loads (empty for most
-    /// requests). Called in trace order; implementations may carry state.
-    fn route(&mut self, system: &System, page: PageId, optional_slots: &[u32]) -> RouteDecision;
+    /// Routes one page request into `out`, clearing whatever it held
+    /// first. `optional_slots` lists the optional-object slots this user
+    /// fetches after the page loads (empty for most requests). Called in
+    /// trace order; implementations may carry state.
+    fn route(
+        &mut self,
+        system: &System,
+        page: PageId,
+        optional_slots: &[u32],
+        out: &mut RouteDecision,
+    );
 
     /// A short label for reports.
     fn name(&self) -> &'static str;
@@ -51,15 +63,23 @@ impl<'a> StaticRouter<'a> {
 }
 
 impl RequestRouter for StaticRouter<'_> {
-    fn route(&mut self, _system: &System, page: PageId, optional_slots: &[u32]) -> RouteDecision {
+    fn route(
+        &mut self,
+        _system: &System,
+        page: PageId,
+        optional_slots: &[u32],
+        out: &mut RouteDecision,
+    ) {
         let part = self.placement.partition(page);
-        RouteDecision {
-            local_compulsory: part.local_compulsory.clone(),
-            local_optional: optional_slots
+        out.local_compulsory.clear();
+        out.local_compulsory
+            .extend_from_slice(&part.local_compulsory);
+        out.local_optional.clear();
+        out.local_optional.extend(
+            optional_slots
                 .iter()
-                .map(|&s| part.local_optional[s as usize])
-                .collect(),
-        }
+                .map(|&s| part.local_optional[s as usize]),
+        );
     }
 
     fn name(&self) -> &'static str {
@@ -86,7 +106,8 @@ mod tests {
             .find(|(_, p)| p.n_optional() >= 2)
             .expect("no page with optionals");
         let slots = [0u32, 1u32];
-        let decision = router.route(&sys, pid, &slots);
+        let mut decision = RouteDecision::default();
+        router.route(&sys, pid, &slots, &mut decision);
         assert_eq!(decision.local_compulsory.len(), page.n_compulsory());
         assert_eq!(decision.local_optional, vec![true, true]);
         assert_eq!(decision.n_local(), page.n_compulsory() + 2);
@@ -97,8 +118,9 @@ mod tests {
         let sys = generate_system(&WorkloadParams::small(), 2).unwrap();
         let placement = Placement::all_remote(&sys);
         let mut router = StaticRouter::new(&placement, "remote");
+        let mut d = RouteDecision::default();
         for (pid, _) in sys.pages().iter().take(20) {
-            let d = router.route(&sys, pid, &[]);
+            router.route(&sys, pid, &[], &mut d);
             assert_eq!(d.n_local(), 0);
         }
     }

@@ -46,6 +46,20 @@ impl ConnectionProfile {
     pub fn single_fetch(&self, size: Bytes) -> Secs {
         self.overhead + self.transfer_time(size)
     }
+
+    /// Completion time of a pipelined stream of `n` payloads totalling
+    /// `total` bytes: overhead + total payload time, or **zero** when the
+    /// stream carries nothing (the connection is never opened — see the
+    /// Eq. 4 note in `mmrepl-model::cost`). Callers that only need the
+    /// time can keep running totals instead of a [`StreamPlan`].
+    #[inline]
+    pub fn stream_time(&self, total: Bytes, n: usize) -> Secs {
+        if n == 0 {
+            Secs::ZERO
+        } else {
+            self.overhead + self.transfer_time(total)
+        }
+    }
 }
 
 /// A pipelined download stream: one connection carrying a sequence of
@@ -77,15 +91,11 @@ impl StreamPlan {
         self.payloads.iter().copied().sum()
     }
 
-    /// Completion time of the whole stream: overhead + total payload time,
-    /// or **zero** when the stream carries nothing (the connection is
-    /// never opened — see the Eq. 4 note in `mmrepl-model::cost`).
+    /// Completion time of the whole stream — see
+    /// [`ConnectionProfile::stream_time`].
     pub fn total_time(&self) -> Secs {
-        if self.payloads.is_empty() {
-            Secs::ZERO
-        } else {
-            self.profile.overhead + self.profile.transfer_time(self.total_bytes())
-        }
+        self.profile
+            .stream_time(self.total_bytes(), self.payloads.len())
     }
 
     /// Per-payload completion times (prefix sums) — when each object
@@ -111,11 +121,7 @@ impl StreamPlan {
 /// an empty payload list. The free-function form of
 /// [`StreamPlan::total_time`] for callers that don't want to allocate.
 pub fn pipeline_time(profile: ConnectionProfile, payloads: &[Bytes]) -> Secs {
-    if payloads.is_empty() {
-        return Secs::ZERO;
-    }
-    let total: Bytes = payloads.iter().copied().sum();
-    profile.overhead + profile.transfer_time(total)
+    profile.stream_time(payloads.iter().copied().sum(), payloads.len())
 }
 
 /// Eq. 5 — the response time of a page served by two parallel streams:
@@ -147,6 +153,7 @@ mod tests {
         assert_eq!(s.total_time(), Secs::ZERO);
         assert!(s.completion_times().is_empty());
         assert_eq!(pipeline_time(profile(2.0, 1.0), &[]), Secs::ZERO);
+        assert_eq!(profile(2.0, 1.0).stream_time(Bytes::ZERO, 0), Secs::ZERO);
     }
 
     #[test]
@@ -166,6 +173,7 @@ mod tests {
             s.push(Bytes::kib(kib));
         }
         assert_eq!(s.total_time(), pipeline_time(p, &s.payloads));
+        assert_eq!(s.total_time(), p.stream_time(Bytes::kib(30), 3));
         assert_eq!(s.total_bytes(), Bytes::kib(30));
     }
 

@@ -8,6 +8,12 @@
 //! atomically rewrites a scrape file every interval — the
 //! `--expose <addr|file>` flag on `mmrepl online`/`route`/`negotiate`.
 //!
+//! The HTTP endpoint answers only `GET /metrics`. It reads at most
+//! [`MAX_HEAD`] bytes of request head within [`HEAD_TIMEOUT`], and refuses
+//! everything else with a status: 404 for another path, 405 for another
+//! method, 400 for a head it cannot parse, 408 for a client that stalls,
+//! 431 for an oversized head.
+//!
 //! Exactly one clock may drive [`crate::slo_tick`] and
 //! [`crate::advance_windows`] at a time: the [`Exporter`] owns it when
 //! running, and `mmrepl top` drives it from its render loop instead of
@@ -16,8 +22,8 @@
 use crate::slo::{slo_tick, SloStatus};
 use crate::timeseries::{advance_windows, ts_snapshot, TsSnapshot};
 use std::fmt::Write as _;
-use std::io::{Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener};
+use std::io::{ErrorKind, Read as _, Write as _};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -175,7 +181,7 @@ pub fn to_prometheus(snap: &TelemetrySnapshot) -> String {
 /// Where the exporter publishes scrapes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ScrapeTarget {
-    /// Serve `GET /metrics` (any path, in fact) on this address.
+    /// Serve `GET /metrics` on this address.
     Http(SocketAddr),
     /// Atomically rewrite this file every interval.
     File(PathBuf),
@@ -279,6 +285,146 @@ fn file_loop(path: &Path, interval: Duration, stop: &AtomicBool) {
     }
 }
 
+/// The largest request head the scrape endpoint reads (431 beyond it).
+pub const MAX_HEAD: usize = 8 * 1024;
+
+/// How long a scrape client has to send its whole request head (408
+/// beyond it). The endpoint serves one connection at a time, so this also
+/// bounds how long a stalled client delays the next scrape.
+pub const HEAD_TIMEOUT: Duration = Duration::from_millis(200);
+
+/// The scrape endpoint's answer to one request.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Reply {
+    Metrics,
+    BadRequest,
+    NotFound,
+    MethodNotAllowed,
+    Timeout,
+    HeadTooLarge,
+}
+
+impl Reply {
+    fn status(self) -> &'static str {
+        match self {
+            Reply::Metrics => "200 OK",
+            Reply::BadRequest => "400 Bad Request",
+            Reply::NotFound => "404 Not Found",
+            Reply::MethodNotAllowed => "405 Method Not Allowed",
+            Reply::Timeout => "408 Request Timeout",
+            Reply::HeadTooLarge => "431 Request Header Fields Too Large",
+        }
+    }
+}
+
+/// Reads one request head, up to the blank line that ends it, within
+/// [`MAX_HEAD`] bytes and [`HEAD_TIMEOUT`] in total.
+fn read_head(conn: &mut TcpStream) -> Result<Vec<u8>, Reply> {
+    let deadline = Instant::now() + HEAD_TIMEOUT;
+    let mut head = Vec::new();
+    let mut buf = [0u8; 1024];
+    loop {
+        if let Some(end) = head.windows(4).position(|w| w == b"\r\n\r\n") {
+            if end + 4 > MAX_HEAD {
+                return Err(Reply::HeadTooLarge);
+            }
+            head.truncate(end);
+            return Ok(head);
+        }
+        if head.len() >= MAX_HEAD {
+            return Err(Reply::HeadTooLarge);
+        }
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || conn.set_read_timeout(Some(left)).is_err() {
+            return Err(Reply::Timeout);
+        }
+        match conn.read(&mut buf) {
+            Ok(0) => return Err(Reply::BadRequest),
+            Ok(n) => head.extend_from_slice(&buf[..n]),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                return Err(Reply::Timeout)
+            }
+            Err(_) => return Err(Reply::BadRequest),
+        }
+    }
+}
+
+/// Classifies a complete request head by its request line.
+fn classify(head: &[u8]) -> Reply {
+    let Ok(head) = std::str::from_utf8(head) else {
+        return Reply::BadRequest;
+    };
+    let line = head.split("\r\n").next().unwrap_or_default();
+    let mut parts = line.split(' ');
+    let (Some(method), Some(target), Some(version), None) =
+        (parts.next(), parts.next(), parts.next(), parts.next())
+    else {
+        return Reply::BadRequest;
+    };
+    if method.is_empty() || !target.starts_with('/') || !version.starts_with("HTTP/1.") {
+        Reply::BadRequest
+    } else if method != "GET" {
+        Reply::MethodNotAllowed
+    } else if target.split('?').next() == Some("/metrics") {
+        Reply::Metrics
+    } else {
+        Reply::NotFound
+    }
+}
+
+/// Answers one scrape connection.
+fn serve_scrape(conn: &mut TcpStream) {
+    let reply = match read_head(conn) {
+        Ok(head) => classify(&head),
+        Err(refusal) => refusal,
+    };
+    let (content_type, body) = match reply {
+        Reply::Metrics => (
+            "text/plain; version=0.0.4; charset=utf-8",
+            to_prometheus(&gather()),
+        ),
+        _ => ("text/plain; charset=utf-8", format!("{}\n", reply.status())),
+    };
+    let allow = if reply == Reply::MethodNotAllowed {
+        "Allow: GET\r\n"
+    } else {
+        ""
+    };
+    let _ = write!(
+        conn,
+        "HTTP/1.1 {}\r\nContent-Type: {content_type}\r\n{allow}Content-Length: {}\r\n\
+         Connection: close\r\n\r\n",
+        reply.status(),
+        body.len()
+    );
+    let _ = conn.write_all(body.as_bytes());
+    if !matches!(reply, Reply::Metrics | Reply::Timeout) {
+        drain(conn);
+    }
+}
+
+/// Discards what a refused client is still sending (the rest of an
+/// oversized head, a request body), so that closing the connection with
+/// unread input does not reset it before the client reads the refusal.
+/// Bounded like the head: [`HEAD_TIMEOUT`] and a few times [`MAX_HEAD`].
+fn drain(conn: &mut TcpStream) {
+    let _ = conn.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + HEAD_TIMEOUT;
+    let mut buf = [0u8; 1024];
+    let mut budget = 8 * MAX_HEAD;
+    while budget > 0 {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || conn.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match conn.read(&mut buf) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => budget = budget.saturating_sub(n),
+        }
+    }
+}
+
 fn http_loop(listener: &TcpListener, interval: Duration, stop: &AtomicBool) {
     let mut last = Instant::now();
     loop {
@@ -287,21 +433,8 @@ fn http_loop(listener: &TcpListener, interval: Duration, stop: &AtomicBool) {
             last = Instant::now();
         }
         match listener.accept() {
-            Ok((mut conn, _)) => {
-                // Drain the request head; any GET gets the exposition.
-                let _ = conn.set_read_timeout(Some(Duration::from_millis(200)));
-                let mut buf = [0u8; 1024];
-                let _ = conn.read(&mut buf);
-                let body = to_prometheus(&gather());
-                let _ = write!(
-                    conn,
-                    "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4; \
-                     charset=utf-8\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-                    body.len()
-                );
-                let _ = conn.write_all(body.as_bytes());
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+            Ok((mut conn, _)) => serve_scrape(&mut conn),
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 if stop.load(Ordering::SeqCst) {
                     return;
                 }
@@ -391,8 +524,8 @@ mod tests {
         crate::reset();
     }
 
-    #[test]
-    fn http_exporter_answers_a_scrape() {
+    /// Runs `body` against a live HTTP exporter holding one counter.
+    fn with_http_exporter(body: impl FnOnce(&str)) {
         let _g = crate::TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         crate::reset();
         crate::set_enabled(true);
@@ -407,15 +540,126 @@ mod tests {
             .trim_start_matches("http://")
             .trim_end_matches("/metrics")
             .to_owned();
-        let mut conn = std::net::TcpStream::connect(&addr).unwrap();
-        write!(conn, "GET /metrics HTTP/1.1\r\nHost: {addr}\r\n\r\n").unwrap();
-        let mut response = String::new();
-        conn.read_to_string(&mut response).unwrap();
-        assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
-        assert!(response.contains("text/plain; version=0.0.4"), "{response}");
-        assert!(response.contains("mmrepl_ex_http_total 3"), "{response}");
+        body(&addr);
         exporter.stop();
         crate::set_enabled(false);
         crate::reset();
+    }
+
+    /// Sends `request` on a fresh connection and returns the response.
+    fn send(addr: &str, request: &[u8]) -> String {
+        let mut conn = TcpStream::connect(addr).unwrap();
+        conn.write_all(request).unwrap();
+        let mut response = String::new();
+        conn.read_to_string(&mut response).unwrap();
+        response
+    }
+
+    #[test]
+    fn http_exporter_answers_a_scrape() {
+        with_http_exporter(|addr| {
+            let response = send(
+                addr,
+                format!("GET /metrics HTTP/1.1\r\nHost: {addr}\r\n\r\n").as_bytes(),
+            );
+            assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
+            assert!(response.contains("text/plain; version=0.0.4"), "{response}");
+            assert!(response.contains("mmrepl_ex_http_total 3"), "{response}");
+            // A query string still names the metrics path.
+            let response = send(addr, b"GET /metrics?x=1 HTTP/1.0\r\n\r\n");
+            assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
+        });
+    }
+
+    #[test]
+    fn http_exporter_refuses_other_paths() {
+        with_http_exporter(|addr| {
+            for path in ["/", "/metrics/", "/favicon.ico"] {
+                let response = send(addr, format!("GET {path} HTTP/1.1\r\n\r\n").as_bytes());
+                assert!(response.starts_with("HTTP/1.1 404 "), "{path}: {response}");
+                assert!(!response.contains("mmrepl_ex_http_total"), "{response}");
+            }
+        });
+    }
+
+    #[test]
+    fn http_exporter_refuses_other_methods() {
+        with_http_exporter(|addr| {
+            for method in ["POST", "HEAD", "DELETE"] {
+                let response = send(
+                    addr,
+                    format!("{method} /metrics HTTP/1.1\r\n\r\n").as_bytes(),
+                );
+                assert!(
+                    response.starts_with("HTTP/1.1 405 "),
+                    "{method}: {response}"
+                );
+                assert!(response.contains("Allow: GET\r\n"), "{response}");
+            }
+        });
+    }
+
+    #[test]
+    fn http_exporter_rejects_unparsable_heads() {
+        with_http_exporter(|addr| {
+            for request in [
+                &b"hello\r\n\r\n"[..],
+                b"GET /metrics\r\n\r\n",
+                b"GET metrics HTTP/1.1\r\n\r\n",
+                b"GET /metrics HTTP/1.1 extra\r\n\r\n",
+                b"GET /metrics SPDY/3\r\n\r\n",
+                b"GET /\xff\xfe HTTP/1.1\r\n\r\n",
+                // The client hangs up before the blank line.
+                b"GET /metrics HTTP/1.1\r\n",
+            ] {
+                let mut conn = TcpStream::connect(addr).unwrap();
+                conn.write_all(request).unwrap();
+                conn.shutdown(std::net::Shutdown::Write).unwrap();
+                let mut response = String::new();
+                conn.read_to_string(&mut response).unwrap();
+                assert!(
+                    response.starts_with("HTTP/1.1 400 "),
+                    "{:?}: {response}",
+                    String::from_utf8_lossy(request)
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn http_exporter_bounds_the_request_head() {
+        with_http_exporter(|addr| {
+            // A head that reaches the bound without ending is refused
+            // unread past it.
+            let response = send(addr, &vec![b'a'; MAX_HEAD]);
+            assert!(response.starts_with("HTTP/1.1 431 "), "{response}");
+            // One whose terminator lands past the bound is refused too.
+            let mut request = b"GET /metrics HTTP/1.1\r\nX-Pad: ".to_vec();
+            request.resize(MAX_HEAD - 2, b'p');
+            request.extend_from_slice(b"\r\n\r\n");
+            let response = send(addr, &request);
+            assert!(response.starts_with("HTTP/1.1 431 "), "{response}");
+            // Just inside the bound is still served.
+            request.truncate(MAX_HEAD - 6);
+            request.extend_from_slice(b"\r\n\r\n");
+            let response = send(addr, &request);
+            assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
+        });
+    }
+
+    #[test]
+    fn a_silent_client_does_not_block_the_next_scrape() {
+        with_http_exporter(|addr| {
+            let started = Instant::now();
+            let mut silent = TcpStream::connect(addr).unwrap();
+            let response = send(addr, b"GET /metrics HTTP/1.1\r\n\r\n");
+            assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
+            assert!(response.contains("mmrepl_ex_http_total 3"), "{response}");
+            // The stalled client was timed out rather than held open.
+            let mut timed_out = String::new();
+            silent.read_to_string(&mut timed_out).unwrap();
+            assert!(timed_out.starts_with("HTTP/1.1 408 "), "{timed_out}");
+            assert!(started.elapsed() < HEAD_TIMEOUT * 10);
+        });
     }
 }

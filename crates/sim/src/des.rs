@@ -10,13 +10,12 @@
 //! event-count/telemetry view and is the natural extension point for
 //! behaviour the closed form cannot express (e.g. time-varying capacity).
 
-use mmrepl_baselines::RequestRouter;
+use crate::replay::RequestStreams;
+use mmrepl_baselines::{RequestRouter, RouteDecision};
 use mmrepl_model::{Secs, System};
 #[cfg(debug_assertions)]
-use mmrepl_netsim::simulate_page;
-use mmrepl_netsim::{
-    ConnectionProfile, EventQueue, QueueingServer, ResponseStats, SimTime, StreamPlan,
-};
+use mmrepl_netsim::{simulate_page, StreamPlan};
+use mmrepl_netsim::{EventQueue, QueueingServer, ResponseStats, SimTime};
 use mmrepl_workload::SiteTrace;
 use serde::{Deserialize, Serialize};
 
@@ -81,40 +80,18 @@ pub fn des_replay(
 
     let mut pages = ResponseStats::new();
     let mut makespan = 0.0f64;
+    let mut decision = RouteDecision::default();
     while let Some((now, arrival)) = queue.pop() {
         let trace = &traces[arrival.site_idx];
         let req = &trace.requests[arrival.req_idx];
-        let page = system.page(req.page);
-        let site = system.site(trace.site);
-        let c = &req.conditions;
-
-        let local_profile = ConnectionProfile::new(
-            site.local_ovhd * c.local_ovhd_factor,
-            site.local_rate.scale(c.local_rate_factor),
-        );
-        let remote_profile = ConnectionProfile::new(
-            site.repo_ovhd * c.repo_ovhd_factor,
-            site.repo_rate.scale(c.repo_rate_factor),
-        );
-
-        let decision = router.route(system, req.page, &req.optional_slots);
-
-        let mut local_stream = StreamPlan::empty(local_profile);
-        local_stream.push(page.html_size);
-        let mut remote_stream = StreamPlan::empty(remote_profile);
-        for (slot, &k) in page.compulsory.iter().enumerate() {
-            if decision.local_compulsory[slot] {
-                local_stream.push(system.object_size(k));
-            } else {
-                remote_stream.push(system.object_size(k));
-            }
-        }
+        router.route(system, req.page, &req.optional_slots, &mut decision);
+        let streams = RequestStreams::new(system, system.site(trace.site), req, &decision);
 
         // Server occupancy (HTTP requests) and queueing waits.
         let n_opt_local = decision.local_optional.iter().filter(|&&b| b).count();
         let n_opt_remote = decision.local_optional.len() - n_opt_local;
-        let local_http = (local_stream.payloads.len() + n_opt_local) as f64;
-        let remote_http = (remote_stream.payloads.len() + n_opt_remote) as f64;
+        let local_http = (streams.local_objects + 1 + n_opt_local) as f64;
+        let remote_http = (streams.remote_objects + n_opt_remote) as f64;
 
         let site_wait = site_servers[arrival.site_idx].admit(now, local_http).wait;
         let repo_wait = if remote_http > 0.0 {
@@ -124,25 +101,33 @@ pub fn des_replay(
         };
 
         // Per-request session timing; in debug builds, cross-check the
-        // event-by-event session simulation against the stream arithmetic
-        // for every single request.
+        // event-by-event session simulation over the full payload lists
+        // against the byte-total stream arithmetic for every request.
         #[cfg(debug_assertions)]
         {
+            let page = system.page(req.page);
+            let mut local_stream = StreamPlan::empty(streams.local);
+            local_stream.push(page.html_size);
+            let mut remote_stream = StreamPlan::empty(streams.remote);
+            for (&k, &local) in page.compulsory.iter().zip(&decision.local_compulsory) {
+                let stream = if local {
+                    &mut local_stream
+                } else {
+                    &mut remote_stream
+                };
+                stream.push(system.object_size(k));
+            }
             let timeline = simulate_page(&local_stream, &remote_stream);
             debug_assert!(
-                (timeline.page_done.get()
-                    - local_stream
-                        .total_time()
-                        .max(remote_stream.total_time())
-                        .get())
-                .abs()
+                (timeline.page_done.get() - streams.local_time().max(streams.remote_time()).get())
+                    .abs()
                     < 1e-9,
                 "session events disagree with stream arithmetic"
             );
         }
         // Session clock is request-relative; add waits per stream side.
-        let local_done = site_wait + local_stream.total_time();
-        let remote_done = repo_wait + remote_stream.total_time();
+        let local_done = site_wait + streams.local_time();
+        let remote_done = repo_wait + streams.remote_time();
         let response = local_done.max(remote_done);
         pages.record(response);
         makespan = makespan.max(now.get() + response.get());

@@ -9,9 +9,10 @@
 //! infeasible or barely-feasible placement actually cost users?* — and
 //! backs the `ablation_queueing` bench.
 
-use mmrepl_baselines::RequestRouter;
+use crate::replay::RequestStreams;
+use mmrepl_baselines::{RequestRouter, RouteDecision};
 use mmrepl_model::{Secs, System};
-use mmrepl_netsim::{ConnectionProfile, QueueingServer, ResponseStats, SimTime, StreamPlan};
+use mmrepl_netsim::{QueueingServer, ResponseStats, SimTime};
 use mmrepl_workload::SiteTrace;
 use serde::{Deserialize, Serialize};
 
@@ -74,41 +75,19 @@ pub fn queueing_replay(
         repo_waits: ResponseStats::new(),
     };
 
+    let mut decision = RouteDecision::default();
     for (t, si, ri) in arrivals {
         let trace = &traces[si];
         let req = &trace.requests[ri];
-        let page = system.page(req.page);
-        let site = system.site(trace.site);
-        let c = &req.conditions;
-
-        let local = ConnectionProfile::new(
-            site.local_ovhd * c.local_ovhd_factor,
-            site.local_rate.scale(c.local_rate_factor),
-        );
-        let remote = ConnectionProfile::new(
-            site.repo_ovhd * c.repo_ovhd_factor,
-            site.repo_rate.scale(c.repo_rate_factor),
-        );
-
-        let decision = router.route(system, req.page, &req.optional_slots);
-
-        let mut local_stream = StreamPlan::empty(local);
-        local_stream.push(page.html_size);
-        let mut remote_stream = StreamPlan::empty(remote);
-        for (slot, &k) in page.compulsory.iter().enumerate() {
-            if decision.local_compulsory[slot] {
-                local_stream.push(system.object_size(k));
-            } else {
-                remote_stream.push(system.object_size(k));
-            }
-        }
+        router.route(system, req.page, &req.optional_slots, &mut decision);
+        let streams = RequestStreams::new(system, system.site(trace.site), req, &decision);
 
         // HTTP requests offered to each machine (optional fetches included
         // as load; their latency is accounted in the non-queueing replay).
         let n_opt_local = decision.local_optional.iter().filter(|&&b| b).count();
         let n_opt_remote = decision.local_optional.len() - n_opt_local;
-        let local_http = local_stream.payloads.len() + n_opt_local;
-        let remote_http = remote_stream.payloads.len() + n_opt_remote;
+        let local_http = streams.local_objects + 1 + n_opt_local;
+        let remote_http = streams.remote_objects + n_opt_remote;
 
         let arrival = SimTime::new(t);
         let site_wait = site_servers[si].admit(arrival, local_http as f64).wait;
@@ -121,8 +100,8 @@ pub fn queueing_replay(
             Secs::ZERO
         };
 
-        let local_done = site_wait + local_stream.total_time();
-        let remote_done = repo_wait + remote_stream.total_time();
+        let local_done = site_wait + streams.local_time();
+        let remote_done = repo_wait + streams.remote_time();
         out.pages.record(local_done.max(remote_done));
     }
     out

@@ -10,10 +10,15 @@
 //! The same replayer serves every policy: static placements ride
 //! [`mmrepl_baselines::StaticRouter`], LRU carries its cache state between
 //! requests.
+//!
+//! The hot loop allocates nothing per request: each replay holds one
+//! [`RouteDecision`] buffer that the router refills, and the compulsory
+//! streams are priced from running byte totals (`RequestStreams`)
+//! rather than from per-request payload lists.
 
-use mmrepl_baselines::RequestRouter;
-use mmrepl_model::{Bytes, Secs, System};
-use mmrepl_netsim::{ConnectionProfile, ResponseStats, StreamPlan};
+use mmrepl_baselines::{RequestRouter, RouteDecision};
+use mmrepl_model::{Bytes, Secs, Site, System};
+use mmrepl_netsim::{ConnectionProfile, ResponseStats};
 use mmrepl_workload::{Request, SiteTrace};
 use serde::{Deserialize, Serialize};
 
@@ -65,6 +70,72 @@ impl ReplayOutcome {
     }
 }
 
+/// One routed request's compulsory phase: two pipelined streams kept as
+/// byte totals and object counts. The local stream carries the HTML plus
+/// every locally-served compulsory object, the repository stream the
+/// rest. Shared by the plain, queueing and DES replays so all three price
+/// a request identically.
+pub(crate) struct RequestStreams {
+    /// The request's actual local-server connection.
+    pub local: ConnectionProfile,
+    /// The request's actual repository connection.
+    pub remote: ConnectionProfile,
+    local_bytes: Bytes,
+    /// Compulsory objects served locally (the HTML not counted).
+    pub local_objects: usize,
+    remote_bytes: Bytes,
+    /// Compulsory objects served by the repository.
+    pub remote_objects: usize,
+}
+
+impl RequestStreams {
+    /// Splits `req`'s page by `decision` under the request's perturbed
+    /// connection conditions at `site`.
+    pub fn new(system: &System, site: &Site, req: &Request, decision: &RouteDecision) -> Self {
+        let page = system.page(req.page);
+        let c = &req.conditions;
+        let mut streams = RequestStreams {
+            local: ConnectionProfile::new(
+                site.local_ovhd * c.local_ovhd_factor,
+                site.local_rate.scale(c.local_rate_factor),
+            ),
+            remote: ConnectionProfile::new(
+                site.repo_ovhd * c.repo_ovhd_factor,
+                site.repo_rate.scale(c.repo_rate_factor),
+            ),
+            local_bytes: page.html_size,
+            local_objects: 0,
+            remote_bytes: Bytes::ZERO,
+            remote_objects: 0,
+        };
+        debug_assert_eq!(decision.local_compulsory.len(), page.compulsory.len());
+        for (&k, &local) in page.compulsory.iter().zip(&decision.local_compulsory) {
+            let size = system.object_size(k);
+            if local {
+                streams.local_bytes += size;
+                streams.local_objects += 1;
+            } else {
+                streams.remote_bytes += size;
+                streams.remote_objects += 1;
+            }
+        }
+        streams
+    }
+
+    /// Completion time of the local stream (never empty: it carries the
+    /// HTML).
+    pub fn local_time(&self) -> Secs {
+        self.local
+            .stream_time(self.local_bytes, self.local_objects + 1)
+    }
+
+    /// Completion time of the repository stream; zero when it is empty.
+    pub fn remote_time(&self) -> Secs {
+        self.remote
+            .stream_time(self.remote_bytes, self.remote_objects)
+    }
+}
+
 /// Replays one site's trace through `router`.
 pub fn replay_site(
     system: &System,
@@ -73,62 +144,42 @@ pub fn replay_site(
 ) -> ReplayOutcome {
     let mut out = ReplayOutcome::new();
     let site = system.site(trace.site);
+    let mut decision = RouteDecision::default();
 
     for req in &trace.requests {
-        serve_request(system, site, req, router, &mut out);
+        serve_request(system, site, req, router, &mut decision, &mut out);
     }
     out
 }
 
 fn serve_request(
     system: &System,
-    site: &mmrepl_model::Site,
+    site: &Site,
     req: &Request,
     router: &mut dyn RequestRouter,
+    decision: &mut RouteDecision,
     out: &mut ReplayOutcome,
 ) {
-    let page = system.page(req.page);
-    let c = &req.conditions;
+    router.route(system, req.page, &req.optional_slots, decision);
 
-    // Actual connection profiles for this request.
-    let local = ConnectionProfile::new(
-        site.local_ovhd * c.local_ovhd_factor,
-        site.local_rate.scale(c.local_rate_factor),
-    );
-    let remote = ConnectionProfile::new(
-        site.repo_ovhd * c.repo_ovhd_factor,
-        site.repo_rate.scale(c.repo_rate_factor),
-    );
-
-    let decision = router.route(system, req.page, &req.optional_slots);
-
-    // Compulsory phase: two pipelined parallel streams.
-    let mut local_stream = StreamPlan::empty(local);
-    local_stream.push(page.html_size);
-    let mut remote_stream = StreamPlan::empty(remote);
-    for (slot, &k) in page.compulsory.iter().enumerate() {
-        let size = system.object_size(k);
-        if decision.local_compulsory[slot] {
-            local_stream.push(size);
-            out.local_objects += 1;
-        } else {
-            remote_stream.push(size);
-            out.remote_objects += 1;
-        }
-    }
-    let response = mmrepl_netsim::parallel_page_time(&local_stream, &remote_stream);
-    out.pages.record(response);
+    // Compulsory phase: two pipelined parallel streams (Eq. 5).
+    let streams = RequestStreams::new(system, site, req, decision);
+    out.local_objects += streams.local_objects as u64;
+    out.remote_objects += streams.remote_objects as u64;
+    out.pages
+        .record(streams.local_time().max(streams.remote_time()));
 
     // Optional phase: each fetch opens its own connection (Eq. 6).
     if !req.optional_slots.is_empty() {
+        let page = system.page(req.page);
         let mut total = Secs::ZERO;
-        for (i, &slot) in req.optional_slots.iter().enumerate() {
+        for (&slot, &local) in req.optional_slots.iter().zip(&decision.local_optional) {
             let size: Bytes = system.object_size(page.optional[slot as usize].object);
-            if decision.local_optional[i] {
-                total += local.single_fetch(size);
+            if local {
+                total += streams.local.single_fetch(size);
                 out.local_objects += 1;
             } else {
-                total += remote.single_fetch(size);
+                total += streams.remote.single_fetch(size);
                 out.remote_objects += 1;
             }
         }

@@ -16,6 +16,9 @@ cargo build --workspace --examples --offline
 echo "==> cargo test (workspace)"
 cargo test --workspace -q --offline
 
+echo "==> cargo test (perfbench: its unit tests and correctness-gated smoke run)"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test with invariant-audit hooks compiled in"
 cargo test -q --offline --features audit \
     -p mmrepl-core -p mmrepl-online -p mmrepl-sim -p mmrepl-serve
