@@ -28,9 +28,9 @@ commands:
              the placement as JSON. --ancestor picks the serving node per
              site on tree systems (closest = attach node with capacity
              promotion, flat = always the origin); star systems ignore it.
-             --threads caps the restoration worker threads (0 = one per
-             core, the default); the placement is bit-identical at any
-             thread count.
+             --threads caps the planner's worker threads (partition,
+             restorations, off-loading absorptions; 0 = one per core, the
+             default); the placement is bit-identical at any thread count.
   evaluate   --system FILE (--placement FILE | --policy ours|remote|local|lru)
              [--seed N] [--storage F] [--processing F]
              Replay the perturbed request trace and print response-time

@@ -54,22 +54,23 @@ pub fn restore_capacity(work: &mut SiteWork<'_>) -> CapacityReport {
     // entries (shouldn't happen — each is pushed once — but cheap to
     // guard); deltas stale-d by earlier flips on the same page are
     // re-keyed on pop.
-    let mut heap: LazyMinHeap<Candidate> = LazyMinHeap::new();
+    let mut seed: Vec<(f64, Candidate)> = Vec::new();
     for idx in 0..work.n_pages() {
         let part = work.partition(idx);
         for (slot, &local) in part.local_compulsory.iter().enumerate() {
             if local {
                 let cand = (idx as u32, slot as u32, SlotKind::Compulsory);
-                heap.push(ratio(work, cand), cand);
+                seed.push((ratio(work, cand), cand));
             }
         }
         for (slot, &local) in part.local_optional.iter().enumerate() {
             if local {
                 let cand = (idx as u32, slot as u32, SlotKind::Optional);
-                heap.push(ratio(work, cand), cand);
+                seed.push((ratio(work, cand), cand));
             }
         }
     }
+    let mut heap = LazyMinHeap::from_entries(seed);
 
     let still_local = |work: &SiteWork<'_>, (idx, slot, kind): Candidate| match kind {
         SlotKind::Compulsory => work.partition(idx as usize).local_compulsory[slot as usize],

@@ -1,14 +1,17 @@
-//! A lazily-revalidated min-heap for greedy restoration loops.
+//! A lazily-revalidated min-heap for the planner's greedy loops.
 //!
-//! Both restoration stages (Eq. 10 storage, Eq. 8 capacity) rank
-//! candidates by a float key that goes stale as the loop mutates shared
-//! state: deallocating an object changes the deltas of everything sharing
-//! a page with it. Rebuilding the heap per step would be quadratic, so
-//! instead each pop re-computes the popped candidate's *current* key and
-//! only accepts it if the key did not grow — otherwise the candidate is
-//! re-inserted with the fresh key and the next one is tried. A candidate
-//! whose key grew but still beats the next-best entry is accepted anyway:
-//! re-inserting it would pop it right back.
+//! Three stages share it: both restorations (Eq. 10 storage, Eq. 8
+//! capacity) and off-loading's site-side absorption. Each seeds the heap
+//! once with every candidate (one O(n) heapify) and ranks candidates by a
+//! float key that goes stale as the loop mutates shared state:
+//! deallocating an object changes the deltas of everything sharing a page
+//! with it, and taking a download shortens its page's local stream.
+//! Rebuilding the heap per step would be quadratic, so instead each pop
+//! re-computes the popped candidate's *current* key and only accepts it if
+//! the key did not grow — otherwise the candidate is re-inserted with the
+//! fresh key and the next one is tried. A candidate whose key grew but
+//! still beats the next-best entry is accepted anyway: re-inserting it
+//! would pop it right back.
 
 use crate::state::TotalF64;
 use std::cmp::Reverse;

@@ -37,16 +37,40 @@
 //! round deadline, and the auction lets the highest-headroom bidders take
 //! whole chunks. Duplication and reordering without loss leave the
 //! greedy placement bit-identical to the reliable run (property-tested).
+//!
+//! ## Same-instant batches
+//!
+//! As in the paper, every site absorbs its share on its own machine, so
+//! the run of site-bound offers due at one instant (one per site) is
+//! delivered as a batch: a sequential pass does envelope dedup and
+//! the counter cache in delivery order, the fresh absorptions run on
+//! [`crate::pool`], and a second sequential pass records the counters
+//! and sends the replies in delivery order. The result is exactly that
+//! of one-envelope-at-a-time delivery (tested at 1, 2 and 4 threads on
+//! reliable, duplicating, reordering and lossy buses):
+//!
+//! * handling a site-bound message never changes what the repository
+//!   waits for, so no early stop is skipped;
+//! * a reply is queued behind every envelope already in flight for its
+//!   instant, so none could have been delivered inside the batch;
+//! * distinct sites' absorptions touch disjoint state;
+//! * replies go out in delivery order, so bus sequence numbers and fault
+//!   draws are unchanged.
+//!
+//! On the reliable bus one round's offers form one batch; fault injection
+//! only splits batches.
 
 use crate::offload::{
-    absorb_workload, classify, paper_round_plan, status_of, AssignmentRule, OffloadConfig,
-    OffloadReport, RoundPlan, StatusReport, EPS,
+    absorb_workload, classify, paper_round_plan, status_of, AbsorbResult, AssignmentRule,
+    OffloadConfig, OffloadReport, RoundPlan, StatusReport, EPS,
 };
+use crate::pool::parallel_map;
 use crate::state::SiteWork;
 use mmrepl_model::{Secs, SiteId};
 use mmrepl_netsim::{BusStats, Endpoint, Envelope, FaultConfig, MessageBus, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
+use std::sync::Mutex;
 
 /// Typed protocol messages.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -427,55 +451,115 @@ struct Tally {
     changed: bool,
 }
 
+/// One negotiation in flight: the bus, both parties' protocol state and
+/// the authoritative site states the offers are absorbed into.
+struct Session<'s, 'a> {
+    bus: MessageBus<NegotiateMsg>,
+    works: &'s mut [SiteWork<'a>],
+    agents: Vec<SiteAgent>,
+    repo: RepoState,
+    tally: Tally,
+    offload: &'s OffloadConfig,
+    /// Worker threads for same-instant absorptions (`0` = one per core).
+    threads: usize,
+    /// Most envelopes one delivery step takes: 1 for the one-at-a-time
+    /// reference the batching is tested against.
+    #[cfg(test)]
+    max_batch: usize,
+}
+
 /// Drives the negotiation over `works` against a repository (or serving
 /// node) of capacity `repo_capacity` req/s, with `config.strategy`
 /// planning each round. Always terminates: rounds are bounded by
 /// `offload.max_rounds`, each exchange by `config.max_retries`, and the
-/// closing drain by fuel.
+/// closing drain by fuel. Same-instant absorptions run on one worker per
+/// core; the outcome does not depend on the thread count.
 pub fn run_negotiation(
     works: &mut [SiteWork<'_>],
     repo_capacity: f64,
     offload: &OffloadConfig,
     config: &NegotiateConfig,
 ) -> NegotiateOutcome {
-    config
-        .validate()
-        .unwrap_or_else(|e| panic!("invalid negotiation config: {e}"));
-    let n = works.len();
-    let mut bus: MessageBus<NegotiateMsg> =
-        MessageBus::with_faults(offload.bus_latency, config.faults);
-    let mut agents: Vec<SiteAgent> = (0..n)
-        .map(|_| SiteAgent {
-            seen: HashSet::new(),
-            counters: Vec::new(),
-            done: false,
-        })
-        .collect();
-    let mut repo = RepoState {
-        statuses: vec![
-            StatusReport {
-                space: 0,
-                headroom: 0.0,
-                repo_load: 0.0,
-            };
-            n
-        ],
-        tags: vec![0; n],
-        demoted: vec![false; n],
-        pending: vec![false; n],
-        current_round: 0,
-        round_absorbed: 0.0,
-        seen: HashSet::new(),
-    };
-    let mut tally = Tally::default();
+    run_negotiation_with_threads(works, repo_capacity, offload, config, 0)
+}
+
+/// [`run_negotiation`] with same-instant absorptions fanned out over up
+/// to `threads` workers (`0` = one per core).
+pub(crate) fn run_negotiation_with_threads(
+    works: &mut [SiteWork<'_>],
+    repo_capacity: f64,
+    offload: &OffloadConfig,
+    config: &NegotiateConfig,
+    threads: usize,
+) -> NegotiateOutcome {
+    let session = Session::new(works, offload, config, threads);
+    negotiate(session, repo_capacity, config)
+}
+
+impl<'s, 'a> Session<'s, 'a> {
+    /// A session over `works` before any message is sent.
+    fn new(
+        works: &'s mut [SiteWork<'a>],
+        offload: &'s OffloadConfig,
+        config: &NegotiateConfig,
+        threads: usize,
+    ) -> Self {
+        config
+            .validate()
+            .unwrap_or_else(|e| panic!("invalid negotiation config: {e}"));
+        let n = works.len();
+        Session {
+            bus: MessageBus::with_faults(offload.bus_latency, config.faults),
+            works,
+            agents: (0..n)
+                .map(|_| SiteAgent {
+                    seen: HashSet::new(),
+                    counters: Vec::new(),
+                    done: false,
+                })
+                .collect(),
+            repo: RepoState {
+                statuses: vec![
+                    StatusReport {
+                        space: 0,
+                        headroom: 0.0,
+                        repo_load: 0.0,
+                    };
+                    n
+                ],
+                tags: vec![0; n],
+                demoted: vec![false; n],
+                pending: vec![false; n],
+                current_round: 0,
+                round_absorbed: 0.0,
+                seen: HashSet::new(),
+            },
+            tally: Tally::default(),
+            offload,
+            threads,
+            #[cfg(test)]
+            max_batch: usize::MAX,
+        }
+    }
+}
+
+/// Runs the negotiation `s` was set up for against a repository (or
+/// serving node) of capacity `repo_capacity` req/s.
+fn negotiate(
+    mut s: Session<'_, '_>,
+    repo_capacity: f64,
+    config: &NegotiateConfig,
+) -> NegotiateOutcome {
+    let n = s.works.len();
+    let offload = s.offload;
 
     // Phase A — status collection. Sites report proactively; the
     // repository probes whoever stays silent, and after the retry budget
     // falls back to its last-known model of the site: the state it
     // computed when it handed out the placement, which is exactly
     // `status_of` before any absorption has run.
-    for w in works.iter() {
-        bus.send(
+    for w in s.works.iter() {
+        s.bus.send(
             Endpoint::Site(w.site()),
             Endpoint::Repository,
             NegotiateMsg::Status(status_of(w)),
@@ -483,53 +567,44 @@ pub fn run_negotiation(
     }
     let mut attempt = 0u32;
     loop {
-        let deadline = bus.now().after(backoff_timeout(config, attempt));
-        pump(
-            &mut bus,
-            works,
-            &mut agents,
-            &mut repo,
-            &mut tally,
-            offload,
-            deadline,
-            |repo| repo.tags.iter().all(|&t| t > 0),
-        );
-        if repo.tags.iter().all(|&t| t > 0) {
+        let deadline = s.bus.now().after(backoff_timeout(config, attempt));
+        s.pump(deadline, |repo| repo.tags.iter().all(|&t| t > 0));
+        if s.repo.tags.iter().all(|&t| t > 0) {
             break;
         }
-        bus.advance_to(deadline);
-        tally.timeouts += 1;
+        s.bus.advance_to(deadline);
+        s.tally.timeouts += 1;
         if attempt >= config.max_retries {
-            for (i, work) in works.iter().enumerate().take(n) {
-                if repo.tags[i] == 0 {
-                    repo.statuses[i] = status_of(work);
-                    repo.tags[i] = 1;
-                    tally.degraded_sites += 1;
+            for (i, work) in s.works.iter().enumerate() {
+                if s.repo.tags[i] == 0 {
+                    s.repo.statuses[i] = status_of(work);
+                    s.repo.tags[i] = 1;
+                    s.tally.degraded_sites += 1;
                 }
             }
             break;
         }
-        for (i, work) in works.iter().enumerate().take(n) {
-            if repo.tags[i] == 0 {
-                bus.send(
+        for (i, work) in s.works.iter().enumerate() {
+            if s.repo.tags[i] == 0 {
+                s.bus.send(
                     Endpoint::Repository,
                     Endpoint::Site(work.site()),
                     NegotiateMsg::Probe,
                 );
-                tally.retries += 1;
+                s.tally.retries += 1;
             }
         }
         attempt += 1;
     }
 
-    let initial_repo_load: f64 = repo.statuses.iter().map(|s| s.repo_load).sum();
+    let initial_repo_load: f64 = s.repo.statuses.iter().map(|st| st.repo_load).sum();
     let mut rounds = 0usize;
     let mut absorbed_total = 0.0f64;
     let mut believed_feasible = true;
 
     // Phase B — offer/counter rounds.
     loop {
-        let p_r: f64 = repo.statuses.iter().map(|s| s.repo_load).sum();
+        let p_r: f64 = s.repo.statuses.iter().map(|st| st.repo_load).sum();
         if p_r <= repo_capacity + EPS {
             break;
         }
@@ -538,8 +613,8 @@ pub fn run_negotiation(
             break;
         }
         let assignments = match config.plan_round(
-            &repo.statuses,
-            &repo.demoted,
+            &s.repo.statuses,
+            &s.repo.demoted,
             repo_capacity,
             offload.assignment,
             rounds,
@@ -553,14 +628,14 @@ pub fn run_negotiation(
         };
         let _round_span = mmrepl_obs::span("negotiate.round");
 
-        repo.current_round = rounds;
-        repo.round_absorbed = 0.0;
-        repo.pending.iter_mut().for_each(|p| *p = false);
+        s.repo.current_round = rounds;
+        s.repo.round_absorbed = 0.0;
+        s.repo.pending.iter_mut().for_each(|p| *p = false);
         for &(i, amount, allow_alloc) in &assignments {
-            repo.pending[i] = true;
-            bus.send(
+            s.repo.pending[i] = true;
+            s.bus.send(
                 Endpoint::Repository,
-                Endpoint::Site(works[i].site()),
+                Endpoint::Site(s.works[i].site()),
                 NegotiateMsg::Offer {
                     round: rounds,
                     attempt: 0,
@@ -571,41 +646,32 @@ pub fn run_negotiation(
         }
         let mut attempt = 0u32;
         loop {
-            let deadline = bus.now().after(backoff_timeout(config, attempt));
-            pump(
-                &mut bus,
-                works,
-                &mut agents,
-                &mut repo,
-                &mut tally,
-                offload,
-                deadline,
-                |repo| !repo.pending.iter().any(|&p| p),
-            );
-            if !repo.pending.iter().any(|&p| p) {
+            let deadline = s.bus.now().after(backoff_timeout(config, attempt));
+            s.pump(deadline, |repo| !repo.pending.iter().any(|&p| p));
+            if !s.repo.pending.iter().any(|&p| p) {
                 break;
             }
-            bus.advance_to(deadline);
-            tally.timeouts += 1;
+            s.bus.advance_to(deadline);
+            s.tally.timeouts += 1;
             if attempt >= config.max_retries {
                 // Degrade: keep the silent sites' last-known statuses
                 // (stale at worst overestimates their repository load —
                 // a lost counter hides an absorption, never invents one)
                 // and demote them to L3 for the remaining rounds.
                 for i in 0..n {
-                    if repo.pending[i] {
-                        repo.pending[i] = false;
-                        repo.demoted[i] = true;
-                        tally.degraded_sites += 1;
+                    if s.repo.pending[i] {
+                        s.repo.pending[i] = false;
+                        s.repo.demoted[i] = true;
+                        s.tally.degraded_sites += 1;
                     }
                 }
                 break;
             }
             for &(i, amount, allow_alloc) in &assignments {
-                if repo.pending[i] {
-                    bus.send(
+                if s.repo.pending[i] {
+                    s.bus.send(
                         Endpoint::Repository,
-                        Endpoint::Site(works[i].site()),
+                        Endpoint::Site(s.works[i].site()),
                         NegotiateMsg::Offer {
                             round: rounds,
                             attempt: attempt + 1,
@@ -613,19 +679,19 @@ pub fn run_negotiation(
                             allow_alloc,
                         },
                     );
-                    tally.retries += 1;
+                    s.tally.retries += 1;
                 }
             }
             attempt += 1;
         }
 
         rounds += 1;
-        absorbed_total += repo.round_absorbed;
-        if repo.round_absorbed <= EPS {
+        absorbed_total += s.repo.round_absorbed;
+        if s.repo.round_absorbed <= EPS {
             // Nobody moved (or every counter was lost): terminate rather
             // than spin.
             believed_feasible =
-                repo.statuses.iter().map(|s| s.repo_load).sum::<f64>() <= repo_capacity + EPS;
+                s.repo.statuses.iter().map(|st| st.repo_load).sum::<f64>() <= repo_capacity + EPS;
             break;
         }
     }
@@ -640,24 +706,18 @@ pub fn run_negotiation(
     } else {
         NegotiateMsg::Abort
     };
-    for w in works.iter() {
-        bus.send(Endpoint::Repository, Endpoint::Site(w.site()), closing);
+    for w in s.works.iter() {
+        s.bus
+            .send(Endpoint::Repository, Endpoint::Site(w.site()), closing);
     }
-    let fuel = bus.in_flight() * 4 + 16 * n + 64;
-    let _left = drain_with_handler(
-        &mut bus,
-        works,
-        &mut agents,
-        &mut repo,
-        &mut tally,
-        offload,
-        fuel,
-    );
+    let fuel = s.bus.in_flight() * 4 + 16 * n + 64;
+    let _left = s.drain(fuel);
     drop(settle_span);
 
     // The report's final view is authoritative, not the protocol's
     // belief: recompute Eq. 9 from the actual site states.
-    let final_repo_load: f64 = works.iter().map(|w| w.repo_load()).sum();
+    let final_repo_load: f64 = s.works.iter().map(|w| w.repo_load()).sum();
+    let tally = &s.tally;
     let report = NegotiateReport {
         strategy: config.strategy,
         rounds,
@@ -667,14 +727,14 @@ pub fn run_negotiation(
         duplicates_ignored: tally.duplicates_ignored,
         stale_replies: tally.stale_replies,
         replayed_counters: tally.replayed_counters,
-        messages: bus.stats().delivered,
-        control_time: bus.now().get(),
+        messages: s.bus.stats().delivered,
+        control_time: s.bus.now().get(),
         initial_repo_load,
         final_repo_load,
         absorbed: absorbed_total,
         swaps: tally.swaps,
         feasible: final_repo_load <= repo_capacity + EPS,
-        bus: bus.stats(),
+        bus: s.bus.stats(),
     };
     if mmrepl_obs::enabled() {
         mmrepl_obs::add("negotiate.rounds", report.rounds as u64);
@@ -705,30 +765,6 @@ fn backoff_timeout(config: &NegotiateConfig, attempt: u32) -> f64 {
     config.timeout.get() * config.backoff.powi(attempt.min(16) as i32)
 }
 
-/// Delivers every message due at or before `deadline`, stopping early
-/// when `done` says the repository got what it was waiting for.
-#[allow(clippy::too_many_arguments)]
-fn pump(
-    bus: &mut MessageBus<NegotiateMsg>,
-    works: &mut [SiteWork<'_>],
-    agents: &mut [SiteAgent],
-    repo: &mut RepoState,
-    tally: &mut Tally,
-    offload: &OffloadConfig,
-    deadline: SimTime,
-    done: impl Fn(&RepoState) -> bool,
-) {
-    while !done(repo) {
-        match bus.peek_time() {
-            Some(t) if t <= deadline => {
-                let env = bus.deliver_next().expect("peeked");
-                handle(env, bus, works, agents, repo, tally, offload);
-            }
-            _ => break,
-        }
-    }
-}
-
 /// Position of `site`'s state in `works`.
 fn site_index(works: &[SiteWork<'_>], site: SiteId) -> usize {
     works
@@ -737,156 +773,283 @@ fn site_index(works: &[SiteWork<'_>], site: SiteId) -> usize {
         .expect("message for unknown site")
 }
 
-/// Fuel-bounded closing drain; returns messages left in flight.
-fn drain_with_handler(
-    bus: &mut MessageBus<NegotiateMsg>,
-    works: &mut [SiteWork<'_>],
-    agents: &mut [SiteAgent],
-    repo: &mut RepoState,
-    tally: &mut Tally,
-    offload: &OffloadConfig,
-    fuel: usize,
-) -> usize {
-    for _ in 0..fuel {
-        let Some(env) = bus.deliver_next() else {
-            return 0;
-        };
-        handle(env, bus, works, agents, repo, tally, offload);
-    }
-    bus.in_flight()
+/// A delivered site-bound offer: the addressee's index in `works`, the
+/// envelope's sequence number and the proposal.
+struct Offered {
+    site: usize,
+    seq: u64,
+    round: usize,
+    amount: f64,
+    allow_alloc: bool,
 }
 
-/// Dispatches one delivered envelope to its party's state machine.
-fn handle(
-    env: Envelope<NegotiateMsg>,
-    bus: &mut MessageBus<NegotiateMsg>,
-    works: &mut [SiteWork<'_>],
-    agents: &mut [SiteAgent],
-    repo: &mut RepoState,
-    tally: &mut Tally,
-    offload: &OffloadConfig,
-) {
-    match env.to {
-        Endpoint::Site(site) => {
-            let i = site_index(works, site);
-            if !agents[i].seen.insert(env.seq) {
-                tally.duplicates_ignored += 1;
-                return;
-            }
-            match env.payload {
-                NegotiateMsg::Probe => {
-                    // Idempotent read: always answer with fresh status.
-                    bus.send(
-                        Endpoint::Site(site),
-                        Endpoint::Repository,
-                        NegotiateMsg::Status(status_of(&works[i])),
-                    );
+/// What a site does with one delivered offer, decided before any
+/// absorption of its batch runs.
+enum OfferAction {
+    /// A duplicate copy: discarded.
+    Ignore,
+    /// A resent offer for a round already absorbed: replay the counter.
+    Reply((f64, StatusReport, bool)),
+    /// A fresh offer: the batch's `k`-th absorption answers it.
+    Absorb(usize),
+}
+
+impl Session<'_, '_> {
+    /// Delivers every message due at or before `deadline`, stopping early
+    /// when `done` says the repository got what it was waiting for.
+    fn pump(&mut self, deadline: SimTime, done: impl Fn(&RepoState) -> bool) {
+        while !done(&self.repo) {
+            match self.bus.peek_time() {
+                Some(t) if t <= deadline => {
+                    self.step(usize::MAX);
                 }
+                _ => break,
+            }
+        }
+    }
+
+    /// Fuel-bounded closing drain; returns messages left in flight.
+    fn drain(&mut self, fuel: usize) -> usize {
+        let mut left = fuel;
+        while left > 0 {
+            match self.step(left) {
+                0 => return 0,
+                delivered => left -= delivered,
+            }
+        }
+        self.bus.in_flight()
+    }
+
+    /// Delivers and handles the next envelope — or, when it is a
+    /// site-bound offer, the run of up to `max` offers due at that same
+    /// instant for distinct sites. Returns the envelopes delivered (0 =
+    /// the bus is empty).
+    ///
+    /// Batching is exact. Handling a site-bound message changes nothing
+    /// the repository's `done` predicates read, and every reply it sends
+    /// is queued behind the whole run (later sequence, same or later
+    /// time), so no reply could have been delivered inside the run. The
+    /// absorptions of distinct sites touch disjoint states, and the
+    /// replies go out in delivery order, so bus sequence numbers and
+    /// fault draws match one-at-a-time delivery.
+    fn step(&mut self, max: usize) -> usize {
+        #[cfg(test)]
+        let max = max.min(self.max_batch);
+        let mut batch: Vec<Offered> = Vec::new();
+        let mut instant = None;
+        while batch.len() < max {
+            let Some(env) = self.bus.peek() else {
+                break;
+            };
+            let (
+                Endpoint::Site(site),
                 NegotiateMsg::Offer {
                     round,
                     amount,
                     allow_alloc,
                     ..
-                } => {
-                    if agents[i].counters.len() <= round {
-                        agents[i].counters.resize(round + 1, None);
-                    }
-                    let (taken, status, exhausted) = match agents[i].counters[round] {
-                        // A retransmitted offer for a round this site
-                        // already absorbed: replay the cached counter
-                        // verbatim — absorbing twice would double-take.
-                        Some(cached) => {
-                            tally.replayed_counters += 1;
-                            cached
-                        }
-                        None => {
-                            let cfg_swaps = if allow_alloc { 0 } else { offload.max_swaps };
-                            let result =
-                                absorb_workload(&mut works[i], amount, allow_alloc, cfg_swaps);
-                            #[cfg(feature = "audit")]
-                            crate::audit::assert_consistent(
-                                &works[i],
-                                crate::audit::AuditStage::OffloadRound,
-                            );
-                            tally.swaps += result.swaps;
-                            if result.absorbed > EPS {
-                                tally.changed = true;
-                            }
-                            let reply = (result.absorbed, status_of(&works[i]), result.exhausted);
-                            agents[i].counters[round] = Some(reply);
-                            reply
-                        }
-                    };
-                    bus.send(
-                        Endpoint::Site(site),
-                        Endpoint::Repository,
-                        NegotiateMsg::Counter {
-                            round,
-                            taken,
-                            status,
-                            exhausted,
-                        },
-                    );
-                }
-                NegotiateMsg::Accept | NegotiateMsg::Abort => agents[i].done = true,
-                // Site-bound Status/Counter never happens; ignore.
-                NegotiateMsg::Status(_) | NegotiateMsg::Counter { .. } => {
-                    tally.stale_replies += 1;
-                }
-            }
-        }
-        Endpoint::Repository => {
-            let Endpoint::Site(site) = env.from else {
-                tally.stale_replies += 1;
-                return;
+                },
+            ) = (env.to, env.payload)
+            else {
+                break;
             };
-            let i = site_index(works, site);
-            if !repo.seen.insert(env.seq) {
-                tally.duplicates_ignored += 1;
-                return;
+            if *instant.get_or_insert(env.deliver_at) != env.deliver_at {
+                break;
             }
-            match env.payload {
-                NegotiateMsg::Status(st) => {
-                    if repo.tags[i] == 0 {
-                        repo.statuses[i] = st;
-                        repo.tags[i] = 1;
-                    } else {
-                        tally.stale_replies += 1;
+            let i = site_index(self.works, site);
+            if batch.iter().any(|o| o.site == i) {
+                break;
+            }
+            let seq = self.bus.deliver_next().expect("peeked").seq;
+            batch.push(Offered {
+                site: i,
+                seq,
+                round,
+                amount,
+                allow_alloc,
+            });
+        }
+        if batch.is_empty() {
+            let Some(env) = self.bus.deliver_next() else {
+                return 0;
+            };
+            self.handle(env);
+            return 1;
+        }
+        let delivered = batch.len();
+        self.handle_offers(&batch);
+        delivered
+    }
+
+    /// Site-side handling of a batch of offers to distinct sites: dedup
+    /// and the counter cache in delivery order, then the fresh
+    /// absorptions on the worker pool, then every counter in delivery
+    /// order.
+    fn handle_offers(&mut self, batch: &[Offered]) {
+        let mut fresh: Vec<(usize, f64, bool)> = Vec::new();
+        let actions: Vec<OfferAction> = batch
+            .iter()
+            .map(|o| {
+                let agent = &mut self.agents[o.site];
+                if !agent.seen.insert(o.seq) {
+                    self.tally.duplicates_ignored += 1;
+                    return OfferAction::Ignore;
+                }
+                if agent.counters.len() <= o.round {
+                    agent.counters.resize(o.round + 1, None);
+                }
+                match agent.counters[o.round] {
+                    // A retransmitted offer for a round this site already
+                    // absorbed: replay the cached counter verbatim —
+                    // absorbing twice would double-take.
+                    Some(cached) => {
+                        self.tally.replayed_counters += 1;
+                        OfferAction::Reply(cached)
+                    }
+                    None => {
+                        fresh.push((o.site, o.amount, o.allow_alloc));
+                        OfferAction::Absorb(fresh.len() - 1)
                     }
                 }
+            })
+            .collect();
+
+        let results = self.absorb_all(&fresh);
+
+        for (o, action) in batch.iter().zip(actions) {
+            let (taken, status, exhausted) = match action {
+                OfferAction::Ignore => continue,
+                OfferAction::Reply(cached) => cached,
+                OfferAction::Absorb(k) => {
+                    let (result, status) = results[k];
+                    self.tally.swaps += result.swaps;
+                    if result.absorbed > EPS {
+                        self.tally.changed = true;
+                    }
+                    let reply = (result.absorbed, status, result.exhausted);
+                    self.agents[o.site].counters[o.round] = Some(reply);
+                    reply
+                }
+            };
+            self.bus.send(
+                Endpoint::Site(self.works[o.site].site()),
+                Endpoint::Repository,
                 NegotiateMsg::Counter {
-                    round,
+                    round: o.round,
                     taken,
                     status,
                     exhausted,
-                } => {
-                    let tag: Tag = round as Tag + 2;
-                    if round == repo.current_round && repo.pending[i] {
-                        repo.pending[i] = false;
-                        repo.statuses[i] = status;
-                        repo.tags[i] = tag;
-                        if exhausted {
-                            repo.demoted[i] = true;
+                },
+            );
+        }
+    }
+
+    /// Runs `(site index, amount, allow_alloc)` absorptions — distinct
+    /// sites — on the worker pool, returning each result with the site's
+    /// post-absorption status, in job order.
+    fn absorb_all(&mut self, jobs: &[(usize, f64, bool)]) -> Vec<(AbsorbResult, StatusReport)> {
+        let max_swaps = self.offload.max_swaps;
+        let mut slots: Vec<Option<&mut SiteWork<'_>>> = self.works.iter_mut().map(Some).collect();
+        let works: Vec<Mutex<&mut SiteWork<'_>>> = jobs
+            .iter()
+            .map(|&(i, _, _)| Mutex::new(slots[i].take().expect("one job per site")))
+            .collect();
+        parallel_map(jobs.len(), self.threads, |k| {
+            let (_, amount, allow_alloc) = jobs[k];
+            let mut guard = works[k].lock().expect("absorption job poisoned");
+            let work: &mut SiteWork<'_> = &mut guard;
+            let swaps = if allow_alloc { 0 } else { max_swaps };
+            let result = absorb_workload(work, amount, allow_alloc, swaps);
+            #[cfg(feature = "audit")]
+            crate::audit::assert_consistent(work, crate::audit::AuditStage::OffloadRound);
+            (result, status_of(work))
+        })
+    }
+
+    /// Dispatches one delivered envelope (anything but a site-bound
+    /// offer, which [`Session::handle_offers`] takes) to its party's
+    /// state machine.
+    fn handle(&mut self, env: Envelope<NegotiateMsg>) {
+        match env.to {
+            Endpoint::Site(site) => {
+                let i = site_index(self.works, site);
+                if !self.agents[i].seen.insert(env.seq) {
+                    self.tally.duplicates_ignored += 1;
+                    return;
+                }
+                match env.payload {
+                    NegotiateMsg::Probe => {
+                        // Idempotent read: always answer with fresh status.
+                        self.bus.send(
+                            Endpoint::Site(site),
+                            Endpoint::Repository,
+                            NegotiateMsg::Status(status_of(&self.works[i])),
+                        );
+                    }
+                    NegotiateMsg::Offer { .. } => {
+                        unreachable!("site-bound offers go through handle_offers")
+                    }
+                    NegotiateMsg::Accept | NegotiateMsg::Abort => self.agents[i].done = true,
+                    // Site-bound Status/Counter never happens; ignore.
+                    NegotiateMsg::Status(_) | NegotiateMsg::Counter { .. } => {
+                        self.tally.stale_replies += 1;
+                    }
+                }
+            }
+            Endpoint::Repository => {
+                let Endpoint::Site(site) = env.from else {
+                    self.tally.stale_replies += 1;
+                    return;
+                };
+                let i = site_index(self.works, site);
+                let (repo, tally) = (&mut self.repo, &mut self.tally);
+                if !repo.seen.insert(env.seq) {
+                    tally.duplicates_ignored += 1;
+                    return;
+                }
+                match env.payload {
+                    NegotiateMsg::Status(st) => {
+                        if repo.tags[i] == 0 {
+                            repo.statuses[i] = st;
+                            repo.tags[i] = 1;
+                        } else {
+                            tally.stale_replies += 1;
                         }
-                        repo.round_absorbed += taken;
-                    } else {
-                        // Late counter (the exchange already timed out or
-                        // this is a replay): it still carries the site's
-                        // freshest state — refresh the view if it is
-                        // strictly newer, but never un-demote.
-                        tally.stale_replies += 1;
-                        if tag > repo.tags[i] {
+                    }
+                    NegotiateMsg::Counter {
+                        round,
+                        taken,
+                        status,
+                        exhausted,
+                    } => {
+                        let tag: Tag = round as Tag + 2;
+                        if round == repo.current_round && repo.pending[i] {
+                            repo.pending[i] = false;
                             repo.statuses[i] = status;
                             repo.tags[i] = tag;
                             if exhausted {
                                 repo.demoted[i] = true;
                             }
+                            repo.round_absorbed += taken;
+                        } else {
+                            // Late counter (the exchange already timed out
+                            // or this is a replay): it still carries the
+                            // site's freshest state — refresh the view if
+                            // it is strictly newer, but never un-demote.
+                            tally.stale_replies += 1;
+                            if tag > repo.tags[i] {
+                                repo.statuses[i] = status;
+                                repo.tags[i] = tag;
+                                if exhausted {
+                                    repo.demoted[i] = true;
+                                }
+                            }
                         }
                     }
+                    // Repository-bound Probe/Offer/Accept/Abort never
+                    // happens; ignore.
+                    _ => tally.stale_replies += 1,
                 }
-                // Repository-bound Probe/Offer/Accept/Abort never
-                // happens; ignore.
-                _ => tally.stale_replies += 1,
             }
         }
     }
@@ -1072,6 +1235,59 @@ mod tests {
         );
         assert_eq!(dup.report.rounds, reliable.report.rounds);
         assert!((dup.report.absorbed - reliable.report.absorbed).abs() < 1e-12);
+    }
+
+    #[test]
+    fn batched_delivery_matches_one_envelope_at_a_time() {
+        // Same-instant offers absorbed together on the pool must leave
+        // every site, every counter and the bus exactly as delivering one
+        // envelope at a time does — on the reliable bus (one batch per
+        // round) and on duplicating, reordering and jitter-free lossy
+        // buses, where batches shrink, duplicates and replays ride along,
+        // and which counter a fault draw hits depends on send order.
+        let mut params = WorkloadParams::small();
+        params.n_sites = 8;
+        params.n_objects = 1600;
+        let sys = generate_system(&params, 2)
+            .unwrap()
+            .with_processing_fraction(1.2);
+        let initial: f64 = restored_works(&sys).iter().map(|w| w.repo_load()).sum();
+        let cap = initial * 0.7;
+        let mut buses = vec![FaultConfig::reliable()];
+        for seed in 0..6u64 {
+            for drop in [0.0, 0.2] {
+                buses.push(FaultConfig {
+                    drop,
+                    duplicate: 0.3,
+                    reorder: 0.3,
+                    jitter: Secs(0.0),
+                    seed,
+                });
+            }
+        }
+        for faults in buses {
+            let config = NegotiateConfig {
+                faults,
+                ..NegotiateConfig::default()
+            };
+            let offload = OffloadConfig::default();
+            let run = |threads: usize, max_batch: usize| {
+                let mut works = restored_works(&sys);
+                let mut session = Session::new(&mut works, &offload, &config, threads);
+                session.max_batch = max_batch;
+                let out = negotiate(session, cap, &config);
+                (out.report, out.changed, site_fingerprints(&works))
+            };
+            let reference = run(1, 1);
+            assert!(reference.0.rounds > 0, "{faults:?}: nothing negotiated");
+            for threads in [1, 2, 4] {
+                assert_eq!(
+                    run(threads, usize::MAX),
+                    reference,
+                    "{faults:?}, {threads} threads"
+                );
+            }
+        }
     }
 
     #[test]

@@ -25,12 +25,12 @@
 //! bus. This module keeps what every negotiation strategy shares:
 //! [`paper_round_plan`] and [`absorb_workload`].
 
+use crate::bits::DenseBits;
+use crate::lazyheap::LazyMinHeap;
 use crate::negotiate::{run_negotiation, NegotiateConfig};
-use crate::state::{SiteWork, SlotKind, TotalF64};
+use crate::state::{SiteWork, SlotKind};
 use mmrepl_model::{ObjectId, Secs};
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// How the repository splits excess workload across willing sites
 /// (A4 ablation).
@@ -286,78 +286,87 @@ pub fn absorb_workload(
     }
 }
 
-type Candidate = (u32, u32, SlotKind);
+/// A remote download `(local page idx, slot, kind)`, packed so that
+/// integer order is the `(idx, slot, kind)` order greedy ties break on
+/// (compulsory before optional at the same slot).
+type Candidate = u64;
 
-/// Greedy re-marking core shared by both absorption phases.
+fn pack(idx: usize, slot: usize, kind: SlotKind) -> Candidate {
+    ((idx as u64) << 33) | ((slot as u64) << 1) | (kind == SlotKind::Optional) as u64
+}
+
+fn unpack(cand: Candidate) -> (usize, usize, SlotKind) {
+    let kind = if cand & 1 == 0 {
+        SlotKind::Compulsory
+    } else {
+        SlotKind::Optional
+    };
+    (
+        (cand >> 33) as usize,
+        ((cand >> 1) & 0xFFFF_FFFF) as usize,
+        kind,
+    )
+}
+
+/// Greedy re-marking core shared by both absorption phases: every remote
+/// slot, cheapest objective damage per unit of workload first, through
+/// the shared [`LazyMinHeap`] (revalidated before the take/skip checks).
 fn absorb_greedy(work: &mut SiteWork<'_>, amount: f64, allow_alloc: bool) -> f64 {
     if amount <= EPS {
         return 0.0;
     }
-    let mut heap: BinaryHeap<Reverse<(TotalF64, Candidate)>> = BinaryHeap::new();
+    let mut entries: Vec<(f64, Candidate)> = Vec::new();
     for idx in 0..work.n_pages() {
         let part = work.partition(idx);
         for (slot, &local) in part.local_compulsory.iter().enumerate() {
             if !local {
-                let cand = (idx as u32, slot as u32, SlotKind::Compulsory);
-                heap.push(Reverse((TotalF64(gain_ratio(work, cand)), cand)));
+                let cand = pack(idx, slot, SlotKind::Compulsory);
+                entries.push((gain_ratio(work, cand), cand));
             }
         }
         for (slot, &local) in part.local_optional.iter().enumerate() {
             if !local {
-                let cand = (idx as u32, slot as u32, SlotKind::Optional);
-                heap.push(Reverse((TotalF64(gain_ratio(work, cand)), cand)));
+                let cand = pack(idx, slot, SlotKind::Optional);
+                entries.push((gain_ratio(work, cand), cand));
             }
         }
     }
+    let mut heap = LazyMinHeap::from_entries(entries);
 
     let mut absorbed = 0.0;
     let capacity = work.capacity();
     while absorbed + EPS < amount {
-        let Some(Reverse((key, cand))) = heap.pop() else {
+        let Some(cand) = heap.pop_current(|_| true, |c| gain_ratio(work, c)) else {
             break;
         };
-        let (idx, slot, kind) = cand;
-        let (idx, slot) = (idx as usize, slot as usize);
-        let pid = work.pages()[idx];
-        let page = work.system().page(pid);
-
-        // Revalidate lazily.
-        let current = gain_ratio(work, cand);
-        if current > key.0 + 1e-12 {
-            let still_best = heap
-                .peek()
-                .map(|Reverse((next, _))| current <= next.0 + 1e-12)
-                .unwrap_or(true);
-            if !still_best {
-                heap.push(Reverse((TotalF64(current), cand)));
-                continue;
+        let (idx, slot, kind) = unpack(cand);
+        let (o, size, gain) = match kind {
+            SlotKind::Compulsory => {
+                let (o, size) = work.comp_slot(idx, slot);
+                (o, size, work.freq(idx))
             }
-        }
-
-        let (object, gain) = match kind {
-            SlotKind::Compulsory => (page.compulsory[slot], page.freq.get()),
             SlotKind::Optional => {
-                let o = page.optional[slot];
-                (o.object, page.freq.get() * page.opt_req_factor * o.prob)
+                let (o, size, _, load) = work.opt_slot(idx, slot);
+                (o, size, load)
             }
         };
         // Processing capacity must keep holding (Eq. 8) — including the
         // refresh load a fresh replica would add under update accounting.
-        let alloc_extra = if work.is_stored(object) {
+        let stored = work.is_stored_local(o);
+        let alloc_extra = if stored {
             0.0
         } else {
-            work.update_rate_of(object)
+            work.update_rate_local(o)
         };
         if work.load() + gain + alloc_extra > capacity + EPS {
             continue; // permanently: load only grows during absorption
         }
         // Storage: stored objects are free; new ones need permission+space.
-        if !work.is_stored(object) {
-            let size = work.system().object_size(object).get();
-            if !(allow_alloc && work.space_left() >= size) {
+        if !stored {
+            if !(allow_alloc && work.space_left() >= size.get()) {
                 continue;
             }
-            work.alloc(object);
+            work.alloc_local(o);
         }
         match kind {
             SlotKind::Compulsory => work.set_compulsory(idx, slot, true),
@@ -371,62 +380,71 @@ fn absorb_greedy(work: &mut SiteWork<'_>, amount: f64, allow_alloc: bool) -> f64
 /// The greedy key for absorption: objective change per unit of workload
 /// gained (negative = taking this download actually *improves* response
 /// time — those go first).
-fn gain_ratio(work: &SiteWork<'_>, (idx, slot, kind): Candidate) -> f64 {
-    let (idx, slot) = (idx as usize, slot as usize);
-    let pid = work.pages()[idx];
-    let page = work.system().page(pid);
-    let freq = page.freq.get();
+fn gain_ratio(work: &SiteWork<'_>, cand: Candidate) -> f64 {
+    let (idx, slot, kind) = unpack(cand);
+    let freq = work.freq(idx);
     match kind {
         SlotKind::Compulsory => {
-            let size = work.system().object_size(page.compulsory[slot]);
+            let (_, size) = work.comp_slot(idx, slot);
             let before = work.streams(idx).response(work.params());
             let after = work.streams(idx).response_if_local(size, work.params());
             freq * work.alpha1() * (after - before) / freq.max(f64::MIN_POSITIVE)
         }
         SlotKind::Optional => {
-            let oref = page.optional[slot];
-            let size = work.system().object_size(oref.object);
+            let (_, size, prob, delta_load) = work.opt_slot(idx, slot);
             let delta_d = freq
                 * work.alpha2()
                 * work
                     .optional_cost(idx)
-                    .delta_if_flipped(oref.prob, size, true, work.params());
-            let delta_load = freq * page.opt_req_factor * oref.prob;
+                    .delta_if_flipped(prob, size, true, work.params());
             delta_d / delta_load.max(f64::MIN_POSITIVE)
         }
     }
+}
+
+/// Stored objects as `(id, held workload, size)`, lowest workload per
+/// byte first — the order [`swap_for_workload`] evicts in.
+fn stored_by_value(work: &SiteWork<'_>) -> Vec<(ObjectId, f64, u64)> {
+    let mut stored: Vec<(ObjectId, f64, u64)> = work
+        .stored_objects()
+        .into_iter()
+        .map(|k| {
+            (
+                k,
+                held_workload(work, k),
+                work.system().object_size(k).get(),
+            )
+        })
+        .collect();
+    stored.sort_by(|a, b| {
+        let ra = a.1 / a.2.max(1) as f64;
+        let rb = b.1 / b.2.max(1) as f64;
+        ra.total_cmp(&rb).then(a.0.cmp(&b.0))
+    });
+    stored
 }
 
 /// The paper's swap step: deallocate stored objects that hold little
 /// workload per byte and make room for unstored objects whose remote
 /// references would let the site absorb more. Returns swaps performed.
 fn swap_for_workload(work: &mut SiteWork<'_>, needed: f64, max_swaps: usize) -> usize {
-    // Potential workload of unstored objects: sum over remote references
-    // (what absorb_greedy could take if the object were stored).
-    let mut candidates: Vec<(ObjectId, f64, u64)> = Vec::new();
-    {
-        let sys = work.system();
-        let mut seen: std::collections::HashSet<ObjectId> = std::collections::HashSet::new();
-        for idx in 0..work.n_pages() {
-            let pid = work.pages()[idx];
-            let page = sys.page(pid);
-            for (slot, &k) in page.compulsory.iter().enumerate() {
-                if !work.partition(idx).local_compulsory[slot]
-                    && !work.is_stored(k)
-                    && seen.insert(k)
-                {
-                    let gain = potential_workload(work, k);
-                    candidates.push((k, gain, sys.object_size(k).get()));
-                }
+    // Potential workload of unstored objects (by local index, which
+    // orders like the object id): sum over remote references (what
+    // absorb_greedy could take if the object were stored).
+    let mut candidates: Vec<(usize, f64, u64)> = Vec::new();
+    let mut seen = DenseBits::zeros(work.n_local_objects());
+    for idx in 0..work.n_pages() {
+        let part = work.partition(idx);
+        for (slot, &local) in part.local_compulsory.iter().enumerate() {
+            let (o, size) = work.comp_slot(idx, slot);
+            if !local && !work.is_stored_local(o) && seen.set(o) {
+                candidates.push((o, potential_workload(work, o), size.get()));
             }
-            for (slot, o) in page.optional.iter().enumerate() {
-                if !work.partition(idx).local_optional[slot]
-                    && !work.is_stored(o.object)
-                    && seen.insert(o.object)
-                {
-                    let gain = potential_workload(work, o.object);
-                    candidates.push((o.object, gain, sys.object_size(o.object).get()));
-                }
+        }
+        for (slot, &local) in part.local_optional.iter().enumerate() {
+            let (o, size, _, _) = work.opt_slot(idx, slot);
+            if !local && !work.is_stored_local(o) && seen.set(o) {
+                candidates.push((o, potential_workload(work, o), size.get()));
             }
         }
     }
@@ -439,6 +457,8 @@ fn swap_for_workload(work: &mut SiteWork<'_>, needed: f64, max_swaps: usize) -> 
 
     let mut swaps = 0;
     let mut still_needed = needed;
+    // The eviction order only changes when a swap changes the store.
+    let mut stored: Option<Vec<(ObjectId, f64, u64)>> = None;
     for (obj, gain, size) in candidates {
         if swaps >= max_swaps || still_needed <= EPS {
             break;
@@ -448,26 +468,11 @@ fn swap_for_workload(work: &mut SiteWork<'_>, needed: f64, max_swaps: usize) -> 
         }
         // Free space by evicting the lowest-value stored objects, as long
         // as the value evicted stays below the value gained.
-        let mut stored: Vec<(ObjectId, f64, u64)> = work
-            .stored_objects()
-            .into_iter()
-            .map(|k| {
-                (
-                    k,
-                    held_workload(work, k),
-                    work.system().object_size(k).get(),
-                )
-            })
-            .collect();
-        stored.sort_by(|a, b| {
-            let ra = a.1 / a.2.max(1) as f64;
-            let rb = b.1 / b.2.max(1) as f64;
-            ra.total_cmp(&rb).then(a.0.cmp(&b.0))
-        });
+        let by_value = stored.get_or_insert_with(|| stored_by_value(work));
         let mut to_evict = Vec::new();
         let mut freed = work.space_left();
         let mut evicted_value = 0.0;
-        for &(k, held, ksize) in &stored {
+        for &(k, held, ksize) in by_value.iter() {
             if freed >= size {
                 break;
             }
@@ -479,38 +484,37 @@ fn swap_for_workload(work: &mut SiteWork<'_>, needed: f64, max_swaps: usize) -> 
             continue; // not worth it (or impossible)
         }
         // Under update accounting the incoming replica adds refresh load.
-        if work.load() + work.update_rate_of(obj) > work.capacity() + EPS {
+        if work.load() + work.update_rate_local(obj) > work.capacity() + EPS {
             continue;
         }
         for k in to_evict {
             work.dealloc(k);
         }
-        work.alloc(obj);
+        work.alloc_local(obj);
         // Mark the new object's remote references local, capacity
         // permitting (net workload change: +gain - evicted_value).
         mark_all_refs_local(work, obj);
         still_needed -= gain - evicted_value;
         swaps += 1;
+        stored = None;
     }
     swaps
 }
 
 /// Workload the site would gain by serving every remote reference of
-/// `object` locally, capacity permitting.
-fn potential_workload(work: &SiteWork<'_>, object: ObjectId) -> f64 {
-    let sys = work.system();
+/// local object `o` locally, capacity permitting.
+fn potential_workload(work: &SiteWork<'_>, o: usize) -> f64 {
     let mut total = 0.0;
-    for &(idx, slot) in work.compulsory_refs(object) {
+    for &(idx, slot) in work.comp_refs_local(o) {
         let (idx, slot) = (idx as usize, slot as usize);
         if !work.partition(idx).local_compulsory[slot] {
-            total += sys.page(work.pages()[idx]).freq.get();
+            total += work.freq(idx);
         }
     }
-    for &(idx, slot) in work.optional_refs(object) {
+    for &(idx, slot) in work.opt_refs_local(o) {
         let (idx, slot) = (idx as usize, slot as usize);
         if !work.partition(idx).local_optional[slot] {
-            let page = sys.page(work.pages()[idx]);
-            total += page.freq.get() * page.opt_req_factor * page.optional[slot].prob;
+            total += work.opt_slot(idx, slot).3;
         }
     }
     total
@@ -518,43 +522,41 @@ fn potential_workload(work: &SiteWork<'_>, object: ObjectId) -> f64 {
 
 /// Workload currently held by `object`'s local marks.
 fn held_workload(work: &SiteWork<'_>, object: ObjectId) -> f64 {
-    let sys = work.system();
     let mut total = 0.0;
     for &(idx, slot) in work.compulsory_refs(object) {
         let (idx, slot) = (idx as usize, slot as usize);
         if work.partition(idx).local_compulsory[slot] {
-            total += sys.page(work.pages()[idx]).freq.get();
+            total += work.freq(idx);
         }
     }
     for &(idx, slot) in work.optional_refs(object) {
         let (idx, slot) = (idx as usize, slot as usize);
         if work.partition(idx).local_optional[slot] {
-            let page = sys.page(work.pages()[idx]);
-            total += page.freq.get() * page.opt_req_factor * page.optional[slot].prob;
+            total += work.opt_slot(idx, slot).3;
         }
     }
     total
 }
 
-/// Marks every remote reference of `object` local, capacity permitting.
-fn mark_all_refs_local(work: &mut SiteWork<'_>, object: ObjectId) {
+/// Marks every remote reference of local object `o` local, capacity
+/// permitting.
+fn mark_all_refs_local(work: &mut SiteWork<'_>, o: usize) {
     let capacity = work.capacity();
-    let comp: Vec<(u32, u32)> = work.compulsory_refs(object).to_vec();
+    let comp: Vec<(u32, u32)> = work.comp_refs_local(o).to_vec();
     for (idx, slot) in comp {
         let (idx, slot) = (idx as usize, slot as usize);
         if !work.partition(idx).local_compulsory[slot] {
-            let gain = work.system().page(work.pages()[idx]).freq.get();
+            let gain = work.freq(idx);
             if work.load() + gain <= capacity + EPS {
                 work.set_compulsory(idx, slot, true);
             }
         }
     }
-    let opt: Vec<(u32, u32)> = work.optional_refs(object).to_vec();
+    let opt: Vec<(u32, u32)> = work.opt_refs_local(o).to_vec();
     for (idx, slot) in opt {
         let (idx, slot) = (idx as usize, slot as usize);
         if !work.partition(idx).local_optional[slot] {
-            let page = work.system().page(work.pages()[idx]);
-            let gain = page.freq.get() * page.opt_req_factor * page.optional[slot].prob;
+            let gain = work.opt_slot(idx, slot).3;
             if work.load() + gain <= capacity + EPS {
                 work.set_optional(idx, slot, true);
             }
@@ -853,5 +855,63 @@ mod tests {
         let (rb, db) = run();
         assert_eq!(ra, rb);
         assert!((da - db).abs() < 1e-12);
+    }
+
+    /// FNV-1a over a stream of words: a fingerprint that stays stable
+    /// across toolchains (std's hashers promise no such thing).
+    fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for w in words {
+            for b in w.to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Storage-full sites asked for more than their stored objects carry
+    /// must swap, and the swap step's output — every mark, the store, the
+    /// load and the report — is pinned to a fingerprint of the output the
+    /// per-candidate rebuild of the eviction order produced, with and
+    /// without update accounting.
+    #[test]
+    fn swaps_are_pinned_to_a_fingerprint() {
+        let mut words = Vec::new();
+        let mut total_swaps = 0;
+        for seed in 0..6u64 {
+            for updates in [false, true] {
+                let sys = generate_system(&WorkloadParams::small(), 100 + seed)
+                    .unwrap()
+                    .with_storage_fraction(0.3)
+                    .with_processing_fraction(3.0)
+                    .map_update_rates(|k, _| 0.001 * (k.raw() % 7) as f64);
+                let placement = partition_all(&sys);
+                for s in sys.sites().ids() {
+                    let mut w = SiteWork::with_update_accounting(
+                        &sys,
+                        s,
+                        &placement,
+                        CostParams::default(),
+                        updates,
+                    );
+                    restore_storage(&mut w);
+                    restore_capacity(&mut w);
+                    let ask = w.headroom();
+                    let r = absorb_workload(&mut w, ask, false, 64);
+                    w.validate_consistency();
+                    total_swaps += r.swaps;
+                    words.extend([r.swaps as u64, r.absorbed.to_bits(), r.exhausted as u64]);
+                    words.extend([w.load().to_bits(), w.storage_used(), w.total_d().to_bits()]);
+                    words.extend(w.stored_objects().iter().map(|k| k.raw() as u64));
+                    for idx in 0..w.n_pages() {
+                        let part = w.partition(idx);
+                        words.extend(part.local_compulsory.iter().map(|&b| b as u64));
+                        words.extend(part.local_optional.iter().map(|&b| b as u64));
+                    }
+                }
+            }
+        }
+        assert_eq!(total_swaps, 742, "the scenario's swap count moved");
+        assert_eq!(fnv(words), 0x09fb_928c_6314_5bf5, "swap output changed");
     }
 }

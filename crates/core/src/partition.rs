@@ -20,6 +20,7 @@
 //!   matches the paper, while degenerate configurations (repository faster
 //!   than the site) sensibly leave them remote.
 
+use crate::pool::parallel_map;
 use crate::streams::SiteParams;
 use mmrepl_model::{IdVec, PageId, PagePartition, Placement, SiteId, System};
 use serde::{Deserialize, Serialize};
@@ -85,6 +86,22 @@ pub fn partition_page_ordered_with(
     visit: PartitionOrder,
     params: &SiteParams,
 ) -> PagePartition {
+    let mut decisions = Vec::new();
+    let row = partition_row(system, page, visit, params, &mut decisions);
+    decisions.into_iter().for_each(mmrepl_obs::decision);
+    row
+}
+
+/// [`partition_page_ordered_with`], appending each compulsory choice's
+/// provenance to `decisions` (when tracing) instead of recording it, so
+/// pages partitioned on workers can be recorded in page order.
+fn partition_row(
+    system: &System,
+    page: PageId,
+    visit: PartitionOrder,
+    params: &SiteParams,
+    decisions: &mut Vec<mmrepl_obs::Decision>,
+) -> PagePartition {
     let p = system.page(page);
 
     // Order `(size, slot)` pairs so the sort compares plain integers
@@ -123,7 +140,7 @@ pub fn partition_page_ordered_with(
         if mmrepl_obs::enabled() {
             // Provenance: both hypothetical stream finish times at the
             // moment of the choice, so a trace can answer "why remote?".
-            mmrepl_obs::decision(mmrepl_obs::Decision {
+            decisions.push(mmrepl_obs::Decision {
                 site: p.site.raw(),
                 page: page.raw(),
                 object: p.compulsory[slot].raw(),
@@ -225,39 +242,86 @@ pub fn optimal_partition(system: &System, page: PageId) -> PagePartition {
 
 /// Runs `PARTITION` for every page — the unconstrained placement the
 /// restorations start from (and the paper's normalization baseline when no
-/// constraint is imposed).
+/// constraint is imposed). Pages are independent, so they fan out over one
+/// worker per core; the placement does not depend on the thread count.
 pub fn partition_all(system: &System) -> Placement {
     partition_all_ordered(system, PartitionOrder::DecreasingSize)
 }
 
+/// [`partition_all`] over up to `threads` workers (`0` = one per core).
+pub(crate) fn partition_all_threads(system: &System, threads: usize) -> Placement {
+    partition_pages(system, threads, |pid, decisions| {
+        partition_row(
+            system,
+            pid,
+            PartitionOrder::DecreasingSize,
+            &SiteParams::of(system.site(system.page(pid).site)),
+            decisions,
+        )
+    })
+}
+
 /// [`partition_all`] with an explicit visit order (A1 ablation).
 pub fn partition_all_ordered(system: &System, visit: PartitionOrder) -> Placement {
-    let partitions = system
-        .pages()
-        .ids()
-        .map(|pid| partition_page_ordered(system, pid, visit))
-        .collect();
-    Placement::new(system, partitions).expect("partition shapes match by construction")
+    partition_pages(system, 0, |pid, decisions| {
+        partition_row(
+            system,
+            pid,
+            visit,
+            &SiteParams::of(system.site(system.page(pid).site)),
+            decisions,
+        )
+    })
 }
 
 /// [`partition_all`] against per-site explicit estimates (one
 /// [`SiteParams`] per site, e.g. the effective serving channels of an
 /// ancestor-selection pass).
 pub fn partition_all_with(system: &System, params: &IdVec<SiteId, SiteParams>) -> Placement {
+    partition_all_with_threads(system, params, 0)
+}
+
+/// [`partition_all_with`] over up to `threads` workers (`0` = one per
+/// core).
+pub(crate) fn partition_all_with_threads(
+    system: &System,
+    params: &IdVec<SiteId, SiteParams>,
+    threads: usize,
+) -> Placement {
     assert_eq!(params.len(), system.n_sites(), "one SiteParams per site");
-    let partitions = system
-        .pages()
-        .ids()
-        .map(|pid| {
-            partition_page_ordered_with(
-                system,
-                pid,
-                PartitionOrder::DecreasingSize,
-                &params[system.page(pid).site],
-            )
+    partition_pages(system, threads, |pid, decisions| {
+        partition_row(
+            system,
+            pid,
+            PartitionOrder::DecreasingSize,
+            &params[system.page(pid).site],
+            decisions,
+        )
+    })
+}
+
+/// Partitions every page with `partition` on the worker pool, assembling
+/// the rows in page-id order. The provenance ring keeps the last records
+/// in arrival order, so workers hand each page's decisions back and they
+/// are recorded here in page order, as a sequential pass records them.
+fn partition_pages(
+    system: &System,
+    threads: usize,
+    partition: impl Fn(PageId, &mut Vec<mmrepl_obs::Decision>) -> PagePartition + Sync,
+) -> Placement {
+    let rows = parallel_map(system.n_pages(), threads, |i| {
+        let mut decisions = Vec::new();
+        let row = partition(PageId::new(i as u32), &mut decisions);
+        (row, decisions)
+    });
+    let rows = rows
+        .into_iter()
+        .map(|(row, decisions)| {
+            decisions.into_iter().for_each(mmrepl_obs::decision);
+            row
         })
         .collect();
-    Placement::new(system, partitions).expect("partition shapes match by construction")
+    Placement::new(system, rows).expect("partition shapes match by construction")
 }
 
 #[cfg(test)]

@@ -2,9 +2,9 @@
 //! restore local capacity → off-load the repository.
 
 use crate::capacity::{restore_capacity, CapacityReport};
-use crate::negotiate::{run_negotiation, NegotiateConfig, NegotiateReport};
+use crate::negotiate::{run_negotiation_with_threads, NegotiateConfig, NegotiateReport};
 use crate::offload::{OffloadConfig, OffloadReport};
-use crate::partition::partition_all;
+use crate::partition::{partition_all_threads, partition_all_with_threads};
 use crate::select::{select_ancestors, AncestorPolicy, Selection};
 use crate::state::SiteWork;
 use crate::storage::{restore_storage, StorageReport};
@@ -121,8 +121,9 @@ impl ReplicationPolicy {
         &self.config
     }
 
-    /// Runs the full pipeline over `system`, fanning the per-site shards
-    /// (partition adoption + both restorations) out over one worker per
+    /// Runs the full pipeline over `system`, fanning `PARTITION`, the
+    /// per-site shards (partition adoption + both restorations) and
+    /// off-loading's same-instant absorptions out over one worker per
     /// core. The shards merge in site-id order, so the outcome is
     /// **bit-identical** to [`ReplicationPolicy::plan_parallel`] at any
     /// thread count, including 1.
@@ -136,7 +137,7 @@ impl ReplicationPolicy {
     ///
     /// `PARTITION` depends only on transfer rates, connection overheads
     /// and object sizes — never on storage, processing or repository
-    /// capacities — so one [`partition_all`] result can warm-start every
+    /// capacities — so one [`crate::partition_all`] result can warm-start every
     /// capacity sweep point derived from the same system, bit-identically
     /// to a cold [`ReplicationPolicy::plan`].
     ///
@@ -148,11 +149,11 @@ impl ReplicationPolicy {
         self.plan_with_threads(system, Some(initial), 0)
     }
 
-    /// Like [`ReplicationPolicy::plan`], but fans the per-site stages
-    /// (storage + capacity restoration) out over up to `threads` worker
-    /// threads (`0` = one per core). Sites are independent until the
-    /// off-loading negotiation, so the result is **bit-identical** to the
-    /// sequential plan — asserted by tests.
+    /// Like [`ReplicationPolicy::plan`], but runs the parallel stages —
+    /// `PARTITION` over pages, the per-site restorations over sites, and
+    /// off-loading's same-instant absorptions — on up to `threads` worker
+    /// threads (`0` = one per core). The result is **bit-identical** to
+    /// the sequential plan — asserted by tests.
     pub fn plan_parallel(&self, system: &System, threads: usize) -> PlanOutcome {
         let _total = mmrepl_obs::span("plan.total");
         self.plan_with_threads(system, None, threads)
@@ -189,7 +190,7 @@ impl ReplicationPolicy {
         let initial: &Placement = if let Some(sel) = &selection {
             owned_initial = Some({
                 let _s = mmrepl_obs::span("plan.partition");
-                crate::partition::partition_all_with(system, &sel.params)
+                partition_all_with_threads(system, &sel.params, threads)
             });
             owned_initial.as_ref().expect("just assigned")
         } else if let Some(p) = warm_start {
@@ -197,7 +198,7 @@ impl ReplicationPolicy {
         } else {
             owned_initial = Some({
                 let _s = mmrepl_obs::span("plan.partition");
-                partition_all(system)
+                partition_all_threads(system, threads)
             });
             owned_initial.as_ref().expect("just assigned")
         };
@@ -392,7 +393,14 @@ impl ReplicationPolicy {
         // systems each serving node negotiates with its own client group
         // against the node's Eq. 9 budget.
         let negotiate = |ws: &mut [SiteWork<'_>], cap: f64| {
-            run_negotiation(ws, cap, &self.config.offload, &self.config.negotiation).report
+            run_negotiation_with_threads(
+                ws,
+                cap,
+                &self.config.offload,
+                &self.config.negotiation,
+                threads,
+            )
+            .report
         };
         let (negotiation, offload_by_node) = {
             let _s = mmrepl_obs::span("plan.offload");
@@ -497,6 +505,7 @@ impl ReplicationPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::partition_all;
     use mmrepl_model::{
         Attachment, BytesPerSec, CostModel, Link, NodeId, RepoNode, ReqPerSec, Secs, Topology,
     };
@@ -843,8 +852,10 @@ mod tests {
 
     /// The same bit-identity claim at paper scale (10 sites, 15k objects)
     /// and 10× scale (100 sites, 150k objects) — the tiers the tracked
-    /// perf baseline runs. Minutes-long in debug builds, so run it as
-    /// `cargo test --release -p mmrepl-core -- --ignored`.
+    /// perf baseline runs — once with an unbounded repository and once
+    /// squeezed to 90% of the load the unbounded plan sends it, so
+    /// off-loading absorbs on the pool. Minutes-long in debug builds, so
+    /// run it as `cargo test --release -p mmrepl-core -- --ignored`.
     #[test]
     #[ignore = "paper/10x scale; run with --release -- --ignored"]
     fn parallel_plan_is_bit_identical_at_paper_and_ten_x_scale() {
@@ -852,16 +863,39 @@ mod tests {
             let mut params = WorkloadParams::paper();
             params.n_sites *= mult;
             params.n_objects *= mult;
-            let sys = generate_system(&params, 42)
-                .unwrap()
-                .with_storage_fraction(0.5)
-                .with_processing_fraction(0.8);
+            let raw = generate_system(&params, 42).unwrap();
             let policy = ReplicationPolicy::new();
-            let seq = policy.plan_parallel(&sys, 1);
-            for threads in [0, 4] {
-                let par = policy.plan_parallel(&sys, threads);
-                assert_eq!(par.placement, seq.placement, "x{mult}, threads = {threads}");
-                assert_eq!(par.report, seq.report, "x{mult}, threads = {threads}");
+            let squeezed = {
+                let local = raw.with_storage_fraction(0.5).with_processing_fraction(1.0);
+                let induced = policy.plan(&local).placement.repo_load(&local);
+                local.with_repository_capacity(ReqPerSec(induced.get() * 0.9))
+            };
+            let cases = [
+                (
+                    "unbounded",
+                    raw.with_storage_fraction(0.5).with_processing_fraction(0.8),
+                ),
+                ("squeezed", squeezed),
+            ];
+            for (name, sys) in cases {
+                let seq = policy.plan_parallel(&sys, 1);
+                if name == "squeezed" {
+                    assert!(
+                        seq.report.offload.rounds >= 1,
+                        "x{mult}: nothing off-loaded"
+                    );
+                }
+                for threads in [0, 4] {
+                    let par = policy.plan_parallel(&sys, threads);
+                    assert_eq!(
+                        par.placement, seq.placement,
+                        "x{mult} {name}, threads = {threads}"
+                    );
+                    assert_eq!(
+                        par.report, seq.report,
+                        "x{mult} {name}, threads = {threads}"
+                    );
+                }
             }
         }
     }

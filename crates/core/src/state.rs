@@ -406,13 +406,13 @@ impl<'a> SiteWork<'a> {
 
     /// Compulsory `(page_idx, slot)` references of local object `o`.
     #[inline]
-    fn comp_refs_local(&self, o: usize) -> &[(u32, u32)] {
+    pub(crate) fn comp_refs_local(&self, o: usize) -> &[(u32, u32)] {
         &self.comp_dat[self.comp_off[o] as usize..self.comp_off[o + 1] as usize]
     }
 
     /// Optional `(page_idx, slot)` references of local object `o`.
     #[inline]
-    fn opt_refs_local(&self, o: usize) -> &[(u32, u32)] {
+    pub(crate) fn opt_refs_local(&self, o: usize) -> &[(u32, u32)] {
         &self.opt_dat[self.opt_off[o] as usize..self.opt_off[o + 1] as usize]
     }
 
@@ -608,6 +608,60 @@ impl<'a> SiteWork<'a> {
         }
     }
 
+    // --- slot arenas, by local page index and slot ------------------------
+    //
+    // Off-loading's absorption loop reads these instead of walking the
+    // system's page and object tables: every value is the one the arena
+    // build copied out of those tables, so results are bit-identical.
+
+    /// `f_j` of local page `idx`.
+    #[inline]
+    pub(crate) fn freq(&self, idx: usize) -> f64 {
+        self.freq[idx]
+    }
+
+    /// Local object index and size of compulsory slot `(idx, slot)`.
+    #[inline]
+    pub(crate) fn comp_slot(&self, idx: usize, slot: usize) -> (usize, Bytes) {
+        let pos = self.comp_slot_off[idx] as usize + slot;
+        (self.comp_slot_lobj[pos] as usize, self.comp_slot_size[pos])
+    }
+
+    /// Local object index, size, access probability and serving load
+    /// when local (`freq · opt_req_factor · prob`) of optional slot
+    /// `(idx, slot)`.
+    #[inline]
+    pub(crate) fn opt_slot(&self, idx: usize, slot: usize) -> (usize, Bytes, f64, f64) {
+        let pos = self.opt_slot_off[idx] as usize + slot;
+        (
+            self.opt_slot_lobj[pos] as usize,
+            self.opt_slot_size[pos],
+            self.opt_slot_prob[pos],
+            self.opt_slot_load[pos],
+        )
+    }
+
+    /// Number of site-local objects (the dense index space).
+    pub(crate) fn n_local_objects(&self) -> usize {
+        self.local_objects.len()
+    }
+
+    /// Whether local object `o` is stored.
+    #[inline]
+    pub(crate) fn is_stored_local(&self, o: usize) -> bool {
+        self.store.get(o)
+    }
+
+    /// [`SiteWork::update_rate_of`] for local object `o`.
+    #[inline]
+    pub(crate) fn update_rate_local(&self, o: usize) -> f64 {
+        if self.count_updates {
+            self.sys.object(self.local_objects[o]).update_rate
+        } else {
+            0.0
+        }
+    }
+
     // --- mutation ---------------------------------------------------------
 
     /// Flips compulsory slot `(idx, slot)` to `local`, maintaining streams,
@@ -682,26 +736,35 @@ impl<'a> SiteWork<'a> {
     /// stored. Objects no local page references are accepted (they land in
     /// a side list) but stay orphan candidates until a mark arrives.
     pub fn alloc(&mut self, object: ObjectId) -> bool {
-        let inserted = match self.local_of(object) {
-            Some(o) => self.store.set(o),
-            None => match self.foreign.binary_search(&object) {
-                Ok(_) => false,
-                Err(pos) => {
-                    self.foreign.insert(pos, object);
-                    true
-                }
-            },
+        if let Some(o) = self.local_of(object) {
+            return self.alloc_local(o);
+        }
+        let Err(pos) = self.foreign.binary_search(&object) else {
+            return false;
         };
+        self.foreign.insert(pos, object);
+        self.charge_alloc(object);
+        true
+    }
+
+    /// [`SiteWork::alloc`] of local object `o`.
+    pub(crate) fn alloc_local(&mut self, o: usize) -> bool {
+        let inserted = self.store.set(o);
         if inserted {
-            self.stored_bytes += self.sys.object_size(object).get();
-            if self.count_updates {
-                self.update_load += self.sys.object(object).update_rate;
-            }
-            // Stored with zero marks until a caller flips one local — an
-            // orphan candidate if none ever lands.
-            self.zero_marks.push(object);
+            self.charge_alloc(self.local_objects[o]);
         }
         inserted
+    }
+
+    /// Storage and refresh-load bookkeeping of a fresh allocation.
+    fn charge_alloc(&mut self, object: ObjectId) {
+        self.stored_bytes += self.sys.object_size(object).get();
+        if self.count_updates {
+            self.update_load += self.sys.object(object).update_rate;
+        }
+        // Stored with zero marks until a caller flips one local — an
+        // orphan candidate if none ever lands.
+        self.zero_marks.push(object);
     }
 
     /// The objective increase if `object` were deallocated right now

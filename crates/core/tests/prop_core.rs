@@ -8,13 +8,30 @@ use mmrepl_core::{
     restore_storage, run_negotiation, run_offload, AncestorPolicy, AuditStage, NegotiateConfig,
     OffloadConfig, PlannerConfig, ReplicationPolicy, SiteWork, StrategyKind,
 };
-use mmrepl_model::{ConstraintReport, CostParams, IdVec, NodeId, Secs, SiteId, Topology};
+use mmrepl_model::{
+    ConstraintReport, CostParams, IdVec, NodeId, ReqPerSec, Secs, SiteId, Topology,
+};
 use mmrepl_netsim::FaultConfig;
 use mmrepl_workload::{generate_system, TopologyParams, WorkloadParams};
 use proptest::prelude::*;
 
 fn small_sys(seed: u64) -> mmrepl_model::System {
     generate_system(&WorkloadParams::small(), seed).expect("valid params")
+}
+
+/// Figure 3's squeeze: with `share`, caps the repository at that share of
+/// the load the unbounded-repository plan sends it.
+fn with_repository_share(sys: mmrepl_model::System, share: Option<f64>) -> mmrepl_model::System {
+    match share {
+        Some(share) => {
+            let induced = ReplicationPolicy::new()
+                .plan(&sys)
+                .placement
+                .repo_load(&sys);
+            sys.with_repository_capacity(ReqPerSec(induced.get() * share))
+        }
+        None => sys,
+    }
 }
 
 proptest! {
@@ -280,17 +297,23 @@ proptest! {
 
     /// The dense (CSR) per-site state yields the same plan every time and
     /// on every thread count: placement and report must be byte-identical
-    /// across repeated cold plans and pool-parallel plans.
+    /// across repeated cold plans and pool-parallel plans — including
+    /// when a squeezed repository makes off-loading absorb in parallel.
     #[test]
     fn plan_is_bit_identical_across_runs_and_threads(
         seed in 0u64..200,
         sf in 0.05f64..1.2,
         pf in 0.05f64..1.2,
         threads in 1usize..5,
+        squeezed in any::<bool>(),
+        share in 0.3f64..0.9,
     ) {
-        let sys = small_sys(seed)
-            .with_storage_fraction(sf)
-            .with_processing_fraction(pf);
+        let sys = with_repository_share(
+            small_sys(seed)
+                .with_storage_fraction(sf)
+                .with_processing_fraction(pf),
+            squeezed.then_some(share),
+        );
         let policy = ReplicationPolicy::new();
         let a = policy.plan(&sys);
         let b = policy.plan(&sys);
@@ -301,20 +324,28 @@ proptest! {
         prop_assert_eq!(&a.report, &par.report, "threads {}", threads);
     }
 
-    /// Sharded restoration is invisible end to end: `plan_parallel` at 1,
-    /// 2 and N threads yields byte-identical `PlanOutcome`s, and the
-    /// per-site reports aggregate to the same work counters — the shards
-    /// did the *same* work, not merely equivalent work.
+    /// Sharded restoration and parallel off-loading are invisible end to
+    /// end: `plan_parallel` at 1, 2 and N threads yields byte-identical
+    /// `PlanOutcome`s, the per-site reports aggregate to the same work
+    /// counters, and stage 4 ran the same rounds, messages and absorbed
+    /// workload — the shards did the *same* work, not merely equivalent
+    /// work. Half the cases squeeze the repository (Figure 3's rule) so
+    /// off-loading has work to do.
     #[test]
     fn sharded_plans_agree_on_outcome_and_work_counters(
         seed in 0u64..200,
         sf in 0.05f64..1.2,
         pf in 0.05f64..1.2,
         n in 3usize..9,
+        squeezed in any::<bool>(),
+        share in 0.3f64..0.9,
     ) {
-        let sys = small_sys(seed)
-            .with_storage_fraction(sf)
-            .with_processing_fraction(pf);
+        let sys = with_repository_share(
+            small_sys(seed)
+                .with_storage_fraction(sf)
+                .with_processing_fraction(pf),
+            squeezed.then_some(share),
+        );
         let policy = ReplicationPolicy::new();
         let aggregate = |o: &mmrepl_core::PlanOutcome| {
             let heap_pops: u64 = o.report.storage.iter().map(|s| s.heap_pops).sum();
@@ -322,12 +353,17 @@ proptest! {
             let orphaned: usize = o.report.storage.iter().map(|s| s.orphaned).sum();
             (heap_pops, bytes_freed, orphaned)
         };
+        let offload = |o: &mmrepl_core::PlanOutcome| {
+            let r = &o.report.offload;
+            (r.rounds, r.messages, r.absorbed.to_bits(), r.swaps)
+        };
         let one = policy.plan_parallel(&sys, 1);
         for threads in [2, n] {
             let par = policy.plan_parallel(&sys, threads);
             prop_assert_eq!(&one.placement, &par.placement, "threads {}", threads);
             prop_assert_eq!(&one.report, &par.report, "threads {}", threads);
             prop_assert_eq!(aggregate(&one), aggregate(&par), "threads {}", threads);
+            prop_assert_eq!(offload(&one), offload(&par), "threads {}", threads);
         }
     }
 

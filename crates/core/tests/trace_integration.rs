@@ -103,30 +103,48 @@ fn parallel_plan_trace_matches_sequential_counters() {
     let _g = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let sys = constrained_system(13);
     let policy = ReplicationPolicy::new();
-    let seq = traced(|| {
-        policy.plan_parallel(&sys, 1);
-    });
-    let par = traced(|| {
-        policy.plan_parallel(&sys, 4);
-    });
-    // Worker recorders flush through the pool, so the aggregate counters
-    // are identical to the sequential run's — except the shard-imbalance
-    // diagnostic, which measures wall time and legitimately varies.
-    let algorithmic = |r: &mmrepl_obs::Recorder| {
-        let mut c = r.counters().clone();
-        c.remove("plan.restore.shard.imbalance_x100");
-        c
-    };
-    assert_eq!(algorithmic(&seq), algorithmic(&par));
-    assert_eq!(seq.decisions_len(), par.decisions_len());
-    // Same spans close the same number of times, whatever the threading.
-    let counts = |r: &mmrepl_obs::Recorder| -> Vec<(String, u64)> {
-        r.spans()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.count))
-            .collect()
-    };
-    assert_eq!(counts(&seq), counts(&par));
+    // The default provenance ring, then one small enough to wrap.
+    for cap in [mmrepl_obs::DEFAULT_PROVENANCE_CAP, 64] {
+        mmrepl_obs::set_provenance_cap(cap);
+        let seq = traced(|| {
+            policy.plan_parallel(&sys, 1);
+        });
+        let par = traced(|| {
+            policy.plan_parallel(&sys, 4);
+        });
+        // Worker recorders flush through the pool, so the aggregate
+        // counters are identical to the sequential run's — except the
+        // shard-imbalance diagnostic, which measures wall time and
+        // legitimately varies.
+        let algorithmic = |r: &mmrepl_obs::Recorder| {
+            let mut c = r.counters().clone();
+            c.remove("plan.restore.shard.imbalance_x100");
+            c
+        };
+        assert_eq!(algorithmic(&seq), algorithmic(&par));
+        // PARTITION runs on the pool, yet the ring keeps the sequential
+        // run's decisions in the sequential run's order.
+        let ring = |r: &mmrepl_obs::Recorder| {
+            let kept: Vec<mmrepl_obs::Decision> = r.decisions().copied().collect();
+            (kept, r.decisions_dropped())
+        };
+        assert_eq!(ring(&seq), ring(&par), "provenance cap {cap}");
+        assert!(seq.decisions_len() > 0);
+        assert!(
+            cap > 64 || seq.decisions_dropped() > 0,
+            "the ring must wrap"
+        );
+        // Same spans close the same number of times, whatever the
+        // threading.
+        let counts = |r: &mmrepl_obs::Recorder| -> Vec<(String, u64)> {
+            r.spans()
+                .iter()
+                .map(|(k, v)| (k.clone(), v.count))
+                .collect()
+        };
+        assert_eq!(counts(&seq), counts(&par));
+    }
+    mmrepl_obs::set_provenance_cap(mmrepl_obs::DEFAULT_PROVENANCE_CAP);
 }
 
 #[test]

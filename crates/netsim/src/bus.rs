@@ -353,6 +353,12 @@ impl<M: Clone> MessageBus<M> {
         self.queue.peek_time()
     }
 
+    /// The next in-flight message — the one [`MessageBus::deliver_next`]
+    /// would hand out — without delivering it.
+    pub fn peek(&self) -> Option<&Envelope<M>> {
+        self.queue.peek().map(|(_, env)| env)
+    }
+
     /// Advances the bus clock to `at` without delivering anything — the
     /// timeout primitive: a negotiator that gives up waiting for a reply
     /// still pays the waited control-plane time.
@@ -407,6 +413,20 @@ mod tests {
         assert_eq!(env.sent_at, SimTime::ZERO);
         assert!((env.deliver_at.get() - 0.1).abs() < 1e-12);
         assert!((bus.now().get() - 0.1).abs() < 1e-12);
+    }
+
+    #[test]
+    fn peek_shows_the_next_delivery_without_taking_it() {
+        let mut bus: MessageBus<u32> = MessageBus::new(Secs(0.1));
+        assert!(bus.peek().is_none());
+        for i in 0..3 {
+            bus.send(Endpoint::Repository, Endpoint::Site(SiteId::new(i)), i);
+        }
+        let next = bus.peek().cloned().unwrap();
+        assert_eq!(bus.in_flight(), 3);
+        assert_eq!(bus.stats().delivered, 0);
+        assert_eq!(bus.deliver_next().unwrap(), next);
+        assert_eq!(bus.peek().unwrap().payload, 1);
     }
 
     #[test]

@@ -203,6 +203,11 @@ impl<E> EventQueue<E> {
         self.heap.peek().map(|e| e.time)
     }
 
+    /// The next event and its timestamp, without popping it.
+    pub fn peek(&self) -> Option<(SimTime, &E)> {
+        self.heap.peek().map(|e| (e.time, &e.event))
+    }
+
     /// Drains the queue, applying `f` to every event in time order. Returns
     /// the final simulation time.
     pub fn run(&mut self, mut f: impl FnMut(&mut Self, SimTime, E)) -> SimTime {

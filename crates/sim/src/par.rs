@@ -54,15 +54,25 @@ mod tests {
 
     #[test]
     fn actually_uses_multiple_threads_when_asked() {
-        // Record distinct thread ids (best-effort: with 4 workers over 64
-        // slow-ish items at least 2 distinct ids should appear).
+        // Deterministic, not a race against the amount of work: whoever
+        // takes item 0 holds it until a second thread has checked in.
+        // With 4 workers asked for, another participant claims a later
+        // chunk while item 0 is held; the time bound turns a pool that
+        // never spreads into a failure instead of a hang.
         use std::collections::HashSet;
-        use std::sync::Mutex;
+        use std::sync::{Condvar, Mutex};
+        use std::time::Duration;
         let ids: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
+        let arrived = Condvar::new();
         parallel_map(64, 4, |i| {
-            ids.lock().unwrap().insert(std::thread::current().id());
-            // A little work so the pool actually spreads.
-            (0..100_000).fold(i as u64, |a, x| a.wrapping_add(x))
+            let mut seen = ids.lock().unwrap();
+            seen.insert(std::thread::current().id());
+            arrived.notify_all();
+            if i == 0 {
+                let _held = arrived
+                    .wait_timeout_while(seen, Duration::from_secs(10), |seen| seen.len() < 2)
+                    .unwrap();
+            }
         });
         assert!(ids.lock().unwrap().len() >= 2);
     }

@@ -16,6 +16,10 @@ cargo build --workspace --examples --offline
 echo "==> cargo test (workspace)"
 cargo test --workspace -q --offline
 
+echo "==> parallel plan bit-identity at paper and 10x scale (release; squeezed repository included)"
+cargo test --release -q --offline -p mmrepl-core --lib -- \
+    --ignored parallel_plan_is_bit_identical_at_paper_and_ten_x_scale
+
 echo "==> cargo test (perfbench: its unit tests and correctness-gated smoke run)"
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
