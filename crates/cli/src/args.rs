@@ -77,17 +77,19 @@ commands:
              --out.
   audit      [--seeds N] [--start S] [--inject] [--trace-out FILE]
              Run the three differential oracles (dense planner vs naive
-             reference, unbounded delta-replan vs cold plan, DES replay
-             vs the Eq. 5 analytic prediction) over N deterministic
-             seeds; failures are minimized and printed. --inject instead
+             reference, unbounded delta-replan vs cold plan, the
+             event-driven replay oracle vs the Eq. 5 analytic
+             prediction) over N deterministic seeds; failures are
+             minimized and printed. --inject instead
              corrupts a site's incremental bookkeeping on purpose and
              shows the invariant auditor's divergence report.
   trace      [--system FILE] [--seed N] [--storage F] [--processing F]
              [--out FILE]
              Plan a system (loaded from --system, or generated small-scale
-             from --seed) and replay its perturbed trace through the
-             discrete-event simulator with structured tracing enabled;
-             print the per-stage breakdown table and write the full trace
+             from --seed) and replay its perturbed trace with FIFO
+             queueing waits charged and structured tracing enabled;
+             print the request count, mean response and mean site wait
+             and the per-stage breakdown table, and write the full trace
              (spans, counters, histograms, decision provenance, events)
              as JSON Lines to --out (default trace.jsonl).
   top        [--study online|route|negotiate] [--refresh MS] [--frames N]

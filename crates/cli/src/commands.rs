@@ -349,7 +349,8 @@ fn run_top_study(study: StudyName, seed: Option<u64>) {
     }
 }
 
-/// `mmrepl trace`: plan + DES replay of one system under the tracer.
+/// `mmrepl trace`: plan + FIFO queueing replay of one system under the
+/// tracer.
 fn trace(
     system: Option<&Path>,
     seed: u64,
@@ -368,16 +369,16 @@ fn trace(
         WorkloadParams::small()
     };
     let traces = generate_trace(&sys, &TraceConfig::from_params(&params), seed);
-    let des = with_trace(Some(out), || {
+    let replayed = with_trace(Some(out), || {
         let planned = ReplicationPolicy::new().plan(&sys).placement;
         let mut router = StaticRouter::new(&planned, "ours");
-        mmrepl_sim::des_replay(&sys, &traces, &mut router)
+        mmrepl_sim::queueing_replay(&sys, &traces, &mut router)
     })?;
     println!(
-        "plan + DES replay: {} requests, mean response {:.2} s, makespan {:.1} s",
-        des.pages.count(),
-        des.mean_response(),
-        des.makespan
+        "plan + queueing replay: {} requests, mean response {:.2} s, mean site wait {:.2} s",
+        replayed.pages.count(),
+        replayed.mean_response(),
+        replayed.site_waits.mean().map_or(0.0, |s| s.get())
     );
     Ok(())
 }
@@ -1338,7 +1339,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_subcommand_covers_plan_and_des() {
+    fn trace_subcommand_covers_plan_and_replay() {
         let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let trace_path = tmp("trace-subcommand.jsonl");
         run(Command::Trace {
@@ -1351,9 +1352,9 @@ mod tests {
         .unwrap();
         let text = std::fs::read_to_string(&trace_path).unwrap();
         assert!(text.contains("\"name\":\"plan.total\""));
-        assert!(text.contains("\"name\":\"des.total\""));
-        assert!(text.contains("\"name\":\"des.response_s\""));
-        assert!(text.contains("\"name\":\"des.page_requests\""));
+        assert!(text.contains("\"name\":\"replay.total\""));
+        assert!(text.contains("\"name\":\"replay.response_s\""));
+        assert!(text.contains("\"name\":\"replay.page_requests\""));
     }
 
     #[test]

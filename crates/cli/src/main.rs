@@ -11,6 +11,8 @@
 //! Systems and placements travel as JSON, so plans can be diffed,
 //! version-controlled and fed back in.
 
+#![forbid(unsafe_code)]
+
 mod args;
 mod commands;
 mod dash;

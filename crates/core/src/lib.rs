@@ -1,3 +1,4 @@
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 //! # mmrepl-core
@@ -61,6 +62,7 @@ pub mod negotiate;
 pub mod offload;
 pub mod partition;
 pub mod planner;
+#[allow(unsafe_code)]
 pub mod pool;
 pub mod select;
 pub mod state;

@@ -3,8 +3,8 @@
 //! The [`crate::Recorder`] pipeline is post-hoc — a trace read after a
 //! run ends. This module is the *live* complement: a process-wide
 //! registry of named metrics the router, online controller, negotiation
-//! state machine, netsim bus and DES replayer publish into while they
-//! run, read concurrently by the exposition layer ([`crate::expose`])
+//! state machine and netsim bus publish into while they run, read
+//! concurrently by the exposition layer ([`crate::expose`])
 //! and the `mmrepl top` dashboard.
 //!
 //! Three metric kinds:
@@ -427,8 +427,6 @@ pub fn register_core_metrics() {
         "messages held back past later sends by fault injection",
     );
     register_gauge("netsim.bus.in_flight", "messages currently in flight");
-    register_counter("des.page_requests", "page requests replayed by the DES");
-    register_reservoir("des.response_s", "DES page response time, seconds");
     register_counter("online.replans", "incremental replans the controller ran");
     register_counter(
         "online.migrated_bytes",

@@ -22,7 +22,7 @@ use std::collections::VecDeque;
 
 use crate::delta::SiteMigration;
 use mmrepl_model::{Bytes, ObjectId, Placement, Secs, SiteId, StoredSet, System};
-use mmrepl_netsim::{parallel_page_time, ConnectionProfile, ResponseStats, StreamPlan};
+use mmrepl_netsim::{ConnectionProfile, ResponseStats};
 use mmrepl_workload::{events_of, Request};
 use serde::{Deserialize, Serialize};
 
@@ -310,21 +310,27 @@ fn serve_request(
         site.repo_rate.scale(c.repo_rate_factor * foreground),
     );
 
-    let mut local_stream = StreamPlan::empty(local);
-    local_stream.push(page.html_size);
-    let mut remote_stream = StreamPlan::empty(remote);
+    // The two compulsory streams as running byte totals and counts; the
+    // local one carries the HTML.
+    let (mut local_bytes, mut local_n) = (page.html_size, 1);
+    let (mut remote_bytes, mut remote_n) = (Bytes::ZERO, 0);
     for (slot, &k) in page.compulsory.iter().enumerate() {
         let size = system.object_size(k);
         if row.local_compulsory[slot] && queue.is_resident(k) {
-            local_stream.push(size);
+            local_bytes += size;
+            local_n += 1;
             out.local_objects += 1;
         } else {
-            remote_stream.push(size);
+            remote_bytes += size;
+            remote_n += 1;
             out.remote_objects += 1;
         }
     }
-    out.pages
-        .record(parallel_page_time(&local_stream, &remote_stream));
+    out.pages.record(
+        local
+            .stream_time(local_bytes, local_n)
+            .max(remote.stream_time(remote_bytes, remote_n)),
+    );
 
     if !req.optional_slots.is_empty() {
         let mut total = Secs::ZERO;

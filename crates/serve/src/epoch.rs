@@ -1,198 +1,60 @@
-//! Epoch-swapped publication: lock-free reads, serialized writes.
+//! Epoch-swapped publication: one published snapshot, swapped whole.
 //!
-//! The online controller replans while reader threads route requests at
-//! full rate, so publication must never block a reader. [`EpochCell`] is
-//! an arc-swap in the hazard-pointer style, built on `std` only:
-//!
-//! * the cell holds one `AtomicPtr` to the current snapshot's refcount
-//!   block (an [`Arc`] leaked via [`Arc::into_raw`]);
-//! * each reader owns a *hazard slot*. To load, it copies the current
-//!   pointer into its slot, re-checks that the pointer is still current
-//!   (retrying on a race), bumps the strong count and clears the slot —
-//!   two or three uncontended atomic ops, no lock, no CAS loop under a
-//!   quiescent writer;
-//! * a publisher swaps the pointer, then spins until no hazard slot
-//!   still advertises the old pointer before dropping its reference.
-//!   The hazard re-check makes this sound: any reader that published the
-//!   old pointer into its slot *before* the swap will either observe the
-//!   re-check fail (and retry on the new pointer) or has already secured
-//!   a strong count the publisher's drop cannot release.
-//!
-//! Readers therefore always observe a fully-constructed snapshot that
-//! stays alive for as long as they hold the returned [`Arc`] — there is
-//! no torn state to observe because the only shared mutable word is one
-//! pointer. The concurrency stress test in this module hammers exactly
-//! this claim with an atomic generation check.
+//! The online controller replans while reader threads route requests, so
+//! publication must hand readers a fully-built snapshot and keep the old
+//! one alive for as long as anyone still routes against it. [`EpochCell`]
+//! is an `RwLock<Arc<T>>`: a load clones the current `Arc` under the read
+//! lock, a publish swaps it under the write lock and drops the retired
+//! `Arc` only after releasing it. Both sides take the lock once per epoch
+//! — readers load once and then route lock-free against their own `Arc` —
+//! so the lock is never contended on a hot path. The concurrency stress
+//! test in this module checks that readers never observe a torn or freed
+//! snapshot. A poisoned lock is recovered: the only write is one
+//! `mem::replace` of a whole `Arc`, so the cell never holds a partial
+//! update.
 
-use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, PoisonError, RwLock};
 
-/// One reader's hazard registration.
-struct HazardSlot<T> {
-    claimed: AtomicBool,
-    ptr: AtomicPtr<T>,
-}
-
-/// An atomically publishable `Arc<T>` with lock-free reads.
+/// An atomically publishable `Arc<T>`.
 ///
-/// Create with [`EpochCell::new`], hand each reader thread an
-/// [`EpochReader`] via [`EpochCell::reader`], and publish new values with
-/// [`EpochCell::publish`]. Publication is serialized internally;
-/// concurrent publishers queue on a mutex that readers never touch.
+/// Create with [`EpochCell::new`], read with [`EpochCell::load`] and
+/// publish new values with [`EpochCell::publish`].
 pub struct EpochCell<T> {
-    current: AtomicPtr<T>,
-    hazards: Box<[HazardSlot<T>]>,
-    writer: Mutex<()>,
-    /// `AtomicPtr` is unconditionally `Send + Sync`; tie the cell's auto
-    /// traits to `Arc<T>`'s instead, since that is what readers get out.
-    ghost: PhantomData<Arc<T>>,
+    current: RwLock<Arc<T>>,
 }
-
-/// Default number of hazard slots (maximum concurrent readers).
-pub const DEFAULT_READERS: usize = 64;
 
 impl<T> EpochCell<T> {
-    /// A cell publishing `initial`, with room for
-    /// [`DEFAULT_READERS`] concurrent reader handles.
+    /// A cell publishing `initial`.
     pub fn new(initial: Arc<T>) -> Self {
-        Self::with_readers(initial, DEFAULT_READERS)
-    }
-
-    /// A cell with room for `readers` concurrent reader handles.
-    pub fn with_readers(initial: Arc<T>, readers: usize) -> Self {
-        assert!(readers > 0, "at least one reader slot");
         EpochCell {
-            current: AtomicPtr::new(Arc::into_raw(initial).cast_mut()),
-            hazards: (0..readers)
-                .map(|_| HazardSlot {
-                    claimed: AtomicBool::new(false),
-                    ptr: AtomicPtr::new(std::ptr::null_mut()),
-                })
-                .collect(),
-            writer: Mutex::new(()),
-            ghost: PhantomData,
+            current: RwLock::new(initial),
         }
     }
 
-    /// Claims a hazard slot for one reader thread. The handle releases
-    /// the slot on drop.
-    ///
-    /// # Panics
-    /// Panics when every slot is claimed (more concurrent readers than
-    /// the cell was sized for).
-    pub fn reader(&self) -> EpochReader<'_, T> {
-        for (i, slot) in self.hazards.iter().enumerate() {
-            if slot
-                .claimed
-                .compare_exchange(false, true, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-            {
-                return EpochReader {
-                    cell: self,
-                    slot: i,
-                };
-            }
-        }
-        panic!("EpochCell reader slots exhausted; size with with_readers()");
-    }
-
-    /// Publishes `next`, retiring the previous value once no in-flight
-    /// read still pins it. Safe to call while readers load concurrently;
-    /// concurrent publishers serialize.
+    /// Publishes `next`. Readers that loaded the previous value keep it
+    /// alive until they drop it.
     pub fn publish(&self, next: Arc<T>) {
-        let _serialize = self.writer.lock().expect("publisher poisoned");
-        let old = self
-            .current
-            .swap(Arc::into_raw(next).cast_mut(), Ordering::SeqCst);
-        // Wait out readers that copied `old` into their hazard slot
-        // before the swap but have not yet secured a strong count. Any
-        // slot showing a different pointer is no obstacle: either that
-        // reader already holds a count (safe) or it will re-check and
-        // retry against the new current.
-        for slot in self.hazards.iter() {
-            let mut spins = 0u32;
-            while std::ptr::eq(slot.ptr.load(Ordering::SeqCst), old) {
-                spins += 1;
-                if spins.is_multiple_of(64) {
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
-            }
-        }
-        // SAFETY: `old` came from `Arc::into_raw` (in `new` or an earlier
-        // `publish`) and was swapped out exactly once (swaps serialize on
-        // `writer`), so this reclaims that one leaked reference. No
-        // hazard slot advertises it and it is no longer reachable from
-        // `current`, so no reader can resurrect it.
-        unsafe { drop(Arc::from_raw(old)) };
+        let retired = std::mem::replace(
+            &mut *self.current.write().unwrap_or_else(PoisonError::into_inner),
+            next,
+        );
+        // Dropping the last reference may free a whole snapshot; do it
+        // after the write lock is released.
+        drop(retired);
         mmrepl_obs::add("serve.epoch_swaps", 1);
         mmrepl_obs::counter_add("serve.epoch_swaps", 1);
     }
 
-    /// A one-shot load without a standing reader handle: claims a slot,
-    /// loads, releases. Prefer [`EpochCell::reader`] on hot paths.
+    /// Returns the currently published value.
     pub fn load(&self) -> Arc<T> {
-        self.reader().load()
-    }
-}
-
-impl<T> Drop for EpochCell<T> {
-    fn drop(&mut self) {
-        // SAFETY: same provenance argument as in `publish`; with `&mut
-        // self` no reader or publisher is live.
-        unsafe { drop(Arc::from_raw(self.current.load(Ordering::SeqCst))) };
-    }
-}
-
-/// A claimed reader slot; [`EpochReader::load`] is the lock-free read.
-pub struct EpochReader<'a, T> {
-    cell: &'a EpochCell<T>,
-    slot: usize,
-}
-
-impl<T> EpochReader<'_, T> {
-    /// Returns the currently published value. Lock-free: retries only
-    /// while a publisher swaps the pointer mid-read.
-    pub fn load(&self) -> Arc<T> {
-        let hazard = &self.cell.hazards[self.slot].ptr;
-        loop {
-            let p = self.cell.current.load(Ordering::SeqCst);
-            hazard.store(p, Ordering::SeqCst);
-            if !std::ptr::eq(self.cell.current.load(Ordering::SeqCst), p) {
-                // A publisher swapped between our load and the hazard
-                // store; it may already have freed `p`. Retry.
-                continue;
-            }
-            // The hazard now pins `p`: the publisher that retires it must
-            // first observe our slot cleared or changed.
-            // SAFETY: `p` is the live `Arc::into_raw` pointer (the
-            // re-check proves it was current after the hazard store, and
-            // the publisher spins on our slot before releasing it), so
-            // bumping its strong count and rewrapping is sound.
-            let arc = unsafe {
-                Arc::increment_strong_count(p);
-                Arc::from_raw(p)
-            };
-            hazard.store(std::ptr::null_mut(), Ordering::SeqCst);
-            return arc;
-        }
-    }
-}
-
-impl<T> Drop for EpochReader<'_, T> {
-    fn drop(&mut self) {
-        let slot = &self.cell.hazards[self.slot];
-        slot.ptr.store(std::ptr::null_mut(), Ordering::SeqCst);
-        slot.claimed.store(false, Ordering::Release);
+        Arc::clone(&self.current.read().unwrap_or_else(PoisonError::into_inner))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     /// A payload whose integrity is checkable: every word equals `gen`.
     struct Payload {
@@ -224,17 +86,6 @@ mod tests {
         cell.publish(Payload::new(1));
         cell.publish(Payload::new(2));
         assert_eq!(cell.load().gen, 2);
-    }
-
-    #[test]
-    fn reader_slots_release_on_drop() {
-        let cell = EpochCell::with_readers(Payload::new(0), 2);
-        let a = cell.reader();
-        let b = cell.reader();
-        drop(a);
-        let c = cell.reader();
-        assert_eq!(b.load().gen, 0);
-        assert_eq!(c.load().gen, 0);
     }
 
     #[test]
@@ -281,15 +132,14 @@ mod tests {
                 let stop = Arc::clone(&stop);
                 let started = Arc::clone(&started);
                 std::thread::spawn(move || {
-                    let handle = cell.reader();
                     let mut last = 0u64;
                     let mut loads = 0u64;
                     // One guaranteed pre-swap load, then signal ready.
-                    handle.load().assert_intact();
+                    cell.load().assert_intact();
                     loads += 1;
                     started.fetch_add(1, Ordering::SeqCst);
                     while !stop.load(Ordering::Relaxed) {
-                        let snap = handle.load();
+                        let snap = cell.load();
                         snap.assert_intact();
                         let ceil = ceiling.load(Ordering::SeqCst);
                         assert!(

@@ -13,8 +13,8 @@
 //!   read-only.
 //! * [`EpochCell`] — the publication point. The controller publishes a
 //!   fresh snapshot atomically while reader threads keep routing
-//!   lock-free against the old one until their next load; old epochs are
-//!   retired hazard-pointer style once nobody pins them.
+//!   against the old one until their next load; an old epoch is freed
+//!   when its last reader drops it.
 //! * [`MigrationOverlay`] — the one mutable structure *inside* a
 //!   snapshot: an atomic bitset of replicas the plan promises but the
 //!   migration queues have not delivered yet. Routers consult it so
@@ -25,13 +25,14 @@
 //!   request time, with an `audit`-feature cross-check that every
 //!   decision targets a site that actually holds the object.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod epoch;
 pub mod router;
 pub mod snapshot;
 
-pub use epoch::{EpochCell, EpochReader, DEFAULT_READERS};
+pub use epoch::EpochCell;
 pub use router::{
     register_latency_slo, route_traces, RouteOutcome, RouteStats, RouteTarget, Router,
 };

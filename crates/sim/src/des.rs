@@ -1,159 +1,76 @@
-//! Full discrete-event replay.
+//! Event-driven replay: the oracle twin of [`crate::queueing_replay`].
 //!
-//! [`crate::queueing_replay`] computes queueing delays analytically from a
-//! pre-sorted arrival list. This module runs the *same* semantics through
-//! the `mmrepl-netsim` event queue — every page request is an arrival
-//! event, service completions advance server state, and per-request
-//! session timelines come from [`mmrepl_netsim::simulate_page`]. The two
-//! implementations must agree exactly (see the cross-validation tests),
-//! which guards both against drift; the DES additionally exposes an
-//! event-count/telemetry view and is the natural extension point for
-//! behaviour the closed form cannot express (e.g. time-varying capacity).
+//! The production replay sorts the arrival schedule and walks it. This
+//! module runs the same FIFO rules ([`crate::queueing`]'s arrival schedule
+//! and servers) through the `mmrepl-netsim` event queue instead — every
+//! page request is an arrival event popped in `(time, insertion)` order —
+//! and checks each request's session timeline from
+//! [`mmrepl_netsim::simulate_page`] against the byte-total stream
+//! arithmetic. Both loops see requests in (time, site, request) order, so
+//! their page statistics must agree exactly, which the tests below
+//! assert; oracle 3 of [`crate::differential`] checks this replay against
+//! Eq. 5.
 
+use crate::queueing::{arrivals, FifoServers};
 use crate::replay::RequestStreams;
 use mmrepl_baselines::{RequestRouter, RouteDecision};
 use mmrepl_model::{Secs, System};
-#[cfg(debug_assertions)]
-use mmrepl_netsim::{simulate_page, StreamPlan};
-use mmrepl_netsim::{EventQueue, QueueingServer, ResponseStats, SimTime};
+use mmrepl_netsim::{simulate_page, EventQueue, ResponseStats, StreamPlan};
 use mmrepl_workload::SiteTrace;
-use serde::{Deserialize, Serialize};
 
-/// A page-request arrival at one site.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Arrival {
-    site_idx: usize,
-    req_idx: usize,
-}
-
-/// DES replay results.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct DesOutcome {
-    /// Page response times including queueing delay.
-    pub pages: ResponseStats,
-    /// Total events processed by the simulation loop.
-    pub events: u64,
-    /// Simulated time at which the last request completed service.
-    pub makespan: f64,
-}
-
-impl DesOutcome {
-    /// Mean page response time.
-    pub fn mean_response(&self) -> f64 {
-        self.pages.mean().map(|s| s.get()).unwrap_or(0.0)
-    }
-}
-
-/// Runs the event-driven replay over all traces.
-pub fn des_replay(
+/// Runs the event-driven replay over all traces and returns the page
+/// response times (queueing waits included) and the number of events
+/// processed.
+///
+/// # Panics
+/// Panics when a request's session timeline disagrees with the stream
+/// arithmetic.
+pub(crate) fn des_replay(
     system: &System,
     traces: &[SiteTrace],
     router: &mut dyn RequestRouter,
-) -> DesOutcome {
-    let _span = mmrepl_obs::span("des.total");
-    let mut queue: EventQueue<Arrival> = EventQueue::new();
-    for (site_idx, trace) in traces.iter().enumerate() {
-        let page_rate: f64 = system
-            .pages_of(trace.site)
-            .iter()
-            .map(|&p| system.page(p).freq.get())
-            .sum();
-        let dt = if page_rate > 0.0 {
-            1.0 / page_rate
-        } else {
-            1.0
-        };
-        for req_idx in 0..trace.requests.len() {
-            queue.schedule(
-                SimTime::new(req_idx as f64 * dt),
-                Arrival { site_idx, req_idx },
-            );
-        }
+) -> (ResponseStats, u64) {
+    let mut queue: EventQueue<(usize, usize)> = EventQueue::new();
+    for (arrival, si, ri) in arrivals(system, traces) {
+        queue.schedule(arrival, (si, ri));
     }
-
-    let mut site_servers: Vec<QueueingServer> = system
-        .sites()
-        .values()
-        .map(|s| QueueingServer::new(s.capacity))
-        .collect();
-    let mut repo_server = QueueingServer::new(system.repository().capacity);
-
+    let mut servers = FifoServers::new(system);
     let mut pages = ResponseStats::new();
-    let mut makespan = 0.0f64;
     let mut decision = RouteDecision::default();
-    while let Some((now, arrival)) = queue.pop() {
-        let trace = &traces[arrival.site_idx];
-        let req = &trace.requests[arrival.req_idx];
+    while let Some((now, (si, ri))) = queue.pop() {
+        let trace = &traces[si];
+        let req = &trace.requests[ri];
         router.route(system, req.page, &req.optional_slots, &mut decision);
         let streams = RequestStreams::new(system, system.site(trace.site), req, &decision);
+        let (site_wait, repo_wait) = servers.admit(si, now, &streams, &decision);
 
-        // Server occupancy (HTTP requests) and queueing waits.
-        let n_opt_local = decision.local_optional.iter().filter(|&&b| b).count();
-        let n_opt_remote = decision.local_optional.len() - n_opt_local;
-        let local_http = (streams.local_objects + 1 + n_opt_local) as f64;
-        let remote_http = (streams.remote_objects + n_opt_remote) as f64;
-
-        let site_wait = site_servers[arrival.site_idx].admit(now, local_http).wait;
-        let repo_wait = if remote_http > 0.0 {
-            repo_server.admit(now, remote_http).wait
-        } else {
-            Secs::ZERO
-        };
-
-        // Per-request session timing; in debug builds, cross-check the
-        // event-by-event session simulation over the full payload lists
-        // against the byte-total stream arithmetic for every request.
-        #[cfg(debug_assertions)]
-        {
-            let page = system.page(req.page);
-            let mut local_stream = StreamPlan::empty(streams.local);
-            local_stream.push(page.html_size);
-            let mut remote_stream = StreamPlan::empty(streams.remote);
-            for (&k, &local) in page.compulsory.iter().zip(&decision.local_compulsory) {
-                let stream = if local {
-                    &mut local_stream
-                } else {
-                    &mut remote_stream
-                };
-                stream.push(system.object_size(k));
-            }
-            let timeline = simulate_page(&local_stream, &remote_stream);
-            debug_assert!(
-                (timeline.page_done.get() - streams.local_time().max(streams.remote_time()).get())
-                    .abs()
-                    < 1e-9,
-                "session events disagree with stream arithmetic"
-            );
+        // Simulate the session event by event over the full payload lists
+        // and check it against the byte-total stream arithmetic.
+        let page = system.page(req.page);
+        let mut local_stream = StreamPlan::empty(streams.local);
+        local_stream.push(page.html_size);
+        let mut remote_stream = StreamPlan::empty(streams.remote);
+        for (&k, &local) in page.compulsory.iter().zip(&decision.local_compulsory) {
+            let stream = if local {
+                &mut local_stream
+            } else {
+                &mut remote_stream
+            };
+            stream.push(system.object_size(k));
         }
-        // Session clock is request-relative; add waits per stream side.
-        let local_done = site_wait + streams.local_time();
-        let remote_done = repo_wait + streams.remote_time();
-        let response = local_done.max(remote_done);
-        pages.record(response);
-        makespan = makespan.max(now.get() + response.get());
-    }
-
-    let outcome = DesOutcome {
-        pages,
-        events: queue.processed(),
-        makespan,
-    };
-    if mmrepl_obs::enabled() {
-        // One merge for the whole run; the event loop itself stays free
-        // of tracing calls.
-        mmrepl_obs::merge_histogram("des.response_s", outcome.pages.histogram());
-        mmrepl_obs::add("des.events", outcome.events);
-        mmrepl_obs::add("des.page_requests", outcome.pages.count());
-        // Live mirrors for the telemetry plane.
-        mmrepl_obs::counter_add("des.events", outcome.events);
-        mmrepl_obs::counter_add("des.page_requests", outcome.pages.count());
-        mmrepl_obs::observe_hist(
-            "des.response_s",
-            outcome.pages.histogram(),
-            outcome.mean_response() * outcome.pages.count() as f64,
+        let timeline = simulate_page(&local_stream, &remote_stream);
+        let unqueued = streams.page_time(Secs::ZERO, Secs::ZERO);
+        assert!(
+            (timeline.page_done.get() - unqueued.get()).abs() < 1e-9,
+            "session events disagree with stream arithmetic: {} vs {}",
+            timeline.page_done.get(),
+            unqueued.get()
         );
+
+        // Session clock is request-relative; add waits per stream side.
+        pages.record(streams.page_time(site_wait, repo_wait.unwrap_or(Secs::ZERO)));
     }
-    outcome
+    (pages, queue.processed())
 }
 
 #[cfg(test)]
@@ -175,19 +92,9 @@ mod tests {
     fn des_agrees_with_analytic_queueing_replay() {
         let (sys, traces) = setup(1);
         let placement = partition_all(&sys);
-        let des = des_replay(&sys, &traces, &mut StaticRouter::new(&placement, "ours"));
-        let analytic = queueing_replay(&sys, &traces, &mut StaticRouter::new(&placement, "ours"));
-        assert_eq!(des.pages.count(), analytic.pages.count());
-        assert!(
-            (des.mean_response() - analytic.mean_response()).abs() < 1e-9,
-            "DES {} vs analytic {}",
-            des.mean_response(),
-            analytic.mean_response()
-        );
-        assert_eq!(
-            des.pages.quantile(0.95).unwrap(),
-            analytic.pages.quantile(0.95).unwrap()
-        );
+        let (des, _) = des_replay(&sys, &traces, &mut StaticRouter::new(&placement, "ours"));
+        let fifo = queueing_replay(&sys, &traces, &mut StaticRouter::new(&placement, "ours"));
+        assert_eq!(des, fifo.pages);
     }
 
     #[test]
@@ -195,9 +102,13 @@ mod tests {
         let (sys, traces) = setup(2);
         let sys = sys.with_processing_fraction(0.2);
         let placement = mmrepl_model::Placement::all_local(&sys);
-        let des = des_replay(&sys, &traces, &mut StaticRouter::new(&placement, "local"));
-        let analytic = queueing_replay(&sys, &traces, &mut StaticRouter::new(&placement, "local"));
-        assert!((des.mean_response() - analytic.mean_response()).abs() < 1e-9);
+        let (des, _) = des_replay(&sys, &traces, &mut StaticRouter::new(&placement, "local"));
+        let fifo = queueing_replay(&sys, &traces, &mut StaticRouter::new(&placement, "local"));
+        assert!(
+            fifo.site_waits.max().unwrap().get() > 10.0,
+            "not overloaded"
+        );
+        assert_eq!(des, fifo.pages);
     }
 
     #[test]
@@ -205,15 +116,9 @@ mod tests {
         let (sys, traces) = setup(3);
         let placement = partition_all(&sys);
         let total: u64 = traces.iter().map(|t| t.len() as u64).sum();
-        let des = des_replay(&sys, &traces, &mut StaticRouter::new(&placement, "ours"));
-        assert_eq!(des.events, total);
-        assert!(des.makespan > 0.0);
-        // The makespan is at least the last arrival plus its service.
-        let horizon = traces
-            .iter()
-            .map(|t| t.len() as f64 / 5.0) // site_page_rate = 5 req/s
-            .fold(0.0f64, f64::max);
-        assert!(des.makespan >= horizon);
+        let (pages, events) = des_replay(&sys, &traces, &mut StaticRouter::new(&placement, "ours"));
+        assert_eq!(events, total);
+        assert_eq!(pages.count(), total);
     }
 
     #[test]

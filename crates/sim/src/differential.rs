@@ -1093,7 +1093,8 @@ pub fn oracle_des_vs_analytic(seed: u64) -> Result<(), String> {
     let placement = ReplicationPolicy::new().plan(&sys).placement;
     let traces = generate_trace(&sys, &TraceConfig::nominal_from_params(&params), seed);
 
-    let des = super::des_replay(&sys, &traces, &mut StaticRouter::new(&placement, "oracle"));
+    let (des, _) =
+        crate::des::des_replay(&sys, &traces, &mut StaticRouter::new(&placement, "oracle"));
     let cm = CostModel::with_defaults(&sys);
     let mut total = 0.0;
     let mut n = 0u64;
@@ -1109,7 +1110,7 @@ pub fn oracle_des_vs_analytic(seed: u64) -> Result<(), String> {
         return Err(format!("seed {seed}: empty trace"));
     }
     let analytic = total / n as f64;
-    let measured = des.mean_response();
+    let measured = des.mean().map_or(0.0, |s| s.get());
     let rel = (measured - analytic).abs() / analytic.max(f64::MIN_POSITIVE);
     if rel > 1e-9 {
         return Err(format!(

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! # mmrepl-sim
@@ -7,11 +8,13 @@
 //!
 //! * [`replay`] — replays a request trace against any
 //!   [`mmrepl_baselines::RequestRouter`], serving each request under its
-//!   perturbed network conditions and recording response-time statistics;
-//! * [`queueing`] — an extension replay that additionally models server
-//!   queueing delay with the `mmrepl-netsim` capacity servers (the paper
-//!   treats capacity as a planning constraint only; this quantifies what
-//!   overload would actually cost);
+//!   perturbed network conditions and recording response-time statistics.
+//!   One request loop serves both wait models: [`replay_all`] charges no
+//!   waits, [`queueing_replay`] charges FIFO waits;
+//! * [`queueing`] — the FIFO rules of the queueing extension (arrival
+//!   schedule and `mmrepl-netsim` capacity servers): the paper treats
+//!   capacity as a planning constraint only; this quantifies what
+//!   overload would actually cost;
 //! * [`experiment`] — the Figure 1/2/3 sweeps: N independent runs
 //!   (fresh workload + trace per run), every policy replayed against the
 //!   *same* per-run trace, results normalized to our policy with no
@@ -35,8 +38,9 @@
 //!   drop/duplicate/reorder/jitter scenarios, reporting protocol cost,
 //!   resilience counters and placement agreement with the default
 //!   (greedy, reliable-bus) plan;
-//! * [`des`] — an event-driven replay twin that must agree exactly with
-//!   the analytic queueing replay;
+//! * [`differential`] — the differential oracles and their fuzz harness,
+//!   among them a crate-private event-driven replay that must agree
+//!   exactly with [`queueing_replay`];
 //! * [`breakdown`] — per-site result reporting (regional asymmetry).
 //!
 //! ## Example
@@ -55,7 +59,7 @@
 pub mod ablation;
 pub mod breakdown;
 pub mod caches;
-pub mod des;
+mod des;
 pub mod differential;
 pub mod drift;
 pub mod experiment;
@@ -69,7 +73,6 @@ pub mod updates;
 
 pub use breakdown::{breakdown_table, site_breakdown, SiteReport};
 pub use caches::{cache_comparison, run_gds, run_lfu};
-pub use des::{des_replay, DesOutcome};
 pub use differential::{
     check_dense_vs_reference, fuzz, minimize_counterexample, oracle_delta_vs_cold,
     oracle_dense_vs_reference, oracle_des_vs_analytic, reference_plan, FuzzFailure, FuzzReport,
@@ -88,5 +91,5 @@ pub use experiment::{
     figure1, figure2, figure3, headline, ExperimentConfig, FigureData, FigurePoint, Headline,
 };
 pub use par::parallel_map;
-pub use queueing::{queueing_replay, QueueingOutcome};
+pub use queueing::queueing_replay;
 pub use replay::{replay_all, replay_site, ReplayOutcome};

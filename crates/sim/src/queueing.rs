@@ -7,52 +7,43 @@
 //! seconds, and the resulting FIFO waits delay the corresponding download
 //! stream. It answers the question the paper leaves open — *what does an
 //! infeasible or barely-feasible placement actually cost users?* — and
-//! backs the `ablation_queueing` bench.
+//! backs the `queueing` bin and the `ablations` bench.
+//!
+//! The replay itself is [`crate::replay`]'s request loop; this module owns
+//! the FIFO rules it adds — the arrival schedule and the servers — which
+//! the crate's event-driven oracle reuses.
 
-use crate::replay::RequestStreams;
+use crate::replay::{replay, traced, ReplayOutcome, RequestStreams};
 use mmrepl_baselines::{RequestRouter, RouteDecision};
 use mmrepl_model::{Secs, System};
-use mmrepl_netsim::{QueueingServer, ResponseStats, SimTime};
+use mmrepl_netsim::{QueueingServer, SimTime};
 use mmrepl_workload::SiteTrace;
-use serde::{Deserialize, Serialize};
 
-/// Results of a queueing-aware replay.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct QueueingOutcome {
-    /// Page response times including queueing delays.
-    pub pages: ResponseStats,
-    /// Queueing waits at the local sites (one sample per page request).
-    pub site_waits: ResponseStats,
-    /// Queueing waits at the repository (one sample per page request that
-    /// touched it).
-    pub repo_waits: ResponseStats,
-}
-
-impl QueueingOutcome {
-    /// Mean response time including queueing.
-    pub fn mean_response(&self) -> f64 {
-        self.pages.mean().map(|s| s.get()).unwrap_or(0.0)
-    }
-}
-
-/// Replays all traces with queueing. Arrival times interleave across
-/// sites: request `i` at site `s` arrives at `i / page_rate(s)`.
+/// Replays all traces with FIFO queueing waits charged. Arrival times
+/// interleave across sites: request `i` at site `s` arrives at
+/// `i / page_rate(s)`; requests arriving at one instant are served by
+/// site, then by request.
 pub fn queueing_replay(
     system: &System,
     traces: &[SiteTrace],
     router: &mut dyn RequestRouter,
-) -> QueueingOutcome {
-    // Per-site arrival schedules.
-    let mut site_servers: Vec<QueueingServer> = system
-        .sites()
-        .values()
-        .map(|s| QueueingServer::new(s.capacity))
-        .collect();
-    let mut repo_server = QueueingServer::new(system.repository().capacity);
+) -> ReplayOutcome {
+    traced(|| {
+        let mut order: Vec<(SimTime, usize, usize)> = arrivals(system, traces).collect();
+        order.sort_unstable();
+        let mut servers = FifoServers::new(system);
+        replay(system, traces, order, router, Some(&mut servers))
+    })
+}
 
-    // Build the merged arrival order: (time, site_index, request_index).
-    let mut arrivals: Vec<(f64, usize, usize)> = Vec::new();
-    for (si, trace) in traces.iter().enumerate() {
+/// The arrival schedule in site-major order: `(arrival, trace index,
+/// request index)`, with request `i` of trace `s` arriving at
+/// `i / page_rate(s)` (one per second at a site without page rate).
+pub(crate) fn arrivals<'a>(
+    system: &'a System,
+    traces: &'a [SiteTrace],
+) -> impl Iterator<Item = (SimTime, usize, usize)> + 'a {
+    traces.iter().enumerate().flat_map(move |(si, trace)| {
         let page_rate: f64 = system
             .pages_of(trace.site)
             .iter()
@@ -63,48 +54,52 @@ pub fn queueing_replay(
         } else {
             1.0
         };
-        for (ri, _) in trace.requests.iter().enumerate() {
-            arrivals.push((ri as f64 * dt, si, ri));
+        (0..trace.requests.len()).map(move |ri| (SimTime::new(ri as f64 * dt), si, ri))
+    })
+}
+
+/// The FIFO servers requests are admitted to: one per site, in trace
+/// order, plus the repository.
+pub(crate) struct FifoServers {
+    sites: Vec<QueueingServer>,
+    repo: QueueingServer,
+}
+
+impl FifoServers {
+    /// Idle servers at each site's and the repository's capacity.
+    pub fn new(system: &System) -> Self {
+        FifoServers {
+            sites: system
+                .sites()
+                .values()
+                .map(|s| QueueingServer::new(s.capacity))
+                .collect(),
+            repo: QueueingServer::new(system.repository().capacity),
         }
     }
-    arrivals.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
 
-    let mut out = QueueingOutcome {
-        pages: ResponseStats::new(),
-        site_waits: ResponseStats::new(),
-        repo_waits: ResponseStats::new(),
-    };
-
-    let mut decision = RouteDecision::default();
-    for (t, si, ri) in arrivals {
-        let trace = &traces[si];
-        let req = &trace.requests[ri];
-        router.route(system, req.page, &req.optional_slots, &mut decision);
-        let streams = RequestStreams::new(system, system.site(trace.site), req, &decision);
-
-        // HTTP requests offered to each machine (optional fetches included
-        // as load; their latency is accounted in the non-queueing replay).
+    /// Admits one routed request arriving at `arrival` at trace `si`'s
+    /// site and returns its site wait and its repository wait (`None`
+    /// when it fetches nothing remotely). Each machine is offered one
+    /// HTTP request per object it serves — the site also serves the HTML —
+    /// optional fetches included as load (their latency is the optional
+    /// phase's).
+    pub fn admit(
+        &mut self,
+        si: usize,
+        arrival: SimTime,
+        streams: &RequestStreams,
+        decision: &RouteDecision,
+    ) -> (Secs, Option<Secs>) {
         let n_opt_local = decision.local_optional.iter().filter(|&&b| b).count();
         let n_opt_remote = decision.local_optional.len() - n_opt_local;
         let local_http = streams.local_objects + 1 + n_opt_local;
         let remote_http = streams.remote_objects + n_opt_remote;
-
-        let arrival = SimTime::new(t);
-        let site_wait = site_servers[si].admit(arrival, local_http as f64).wait;
-        out.site_waits.record(site_wait);
-        let repo_wait = if remote_http > 0 {
-            let w = repo_server.admit(arrival, remote_http as f64).wait;
-            out.repo_waits.record(w);
-            w
-        } else {
-            Secs::ZERO
-        };
-
-        let local_done = site_wait + streams.local_time();
-        let remote_done = repo_wait + streams.remote_time();
-        out.pages.record(local_done.max(remote_done));
+        let site_wait = self.sites[si].admit(arrival, local_http as f64).wait;
+        let repo_wait =
+            (remote_http > 0).then(|| self.repo.admit(arrival, remote_http as f64).wait);
+        (site_wait, repo_wait)
     }
-    out
 }
 
 #[cfg(test)]

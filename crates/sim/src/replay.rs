@@ -9,23 +9,28 @@
 //!
 //! The same replayer serves every policy: static placements ride
 //! [`mmrepl_baselines::StaticRouter`], LRU carries its cache state between
-//! requests.
+//! requests. It also serves both wait models through one request loop:
+//! [`replay_all`] walks the traces site by site and charges no waits,
+//! [`crate::queueing_replay`] walks them in arrival order and first admits
+//! each request to the FIFO servers of [`crate::queueing`].
 //!
 //! The hot loop allocates nothing per request: each replay holds one
 //! [`RouteDecision`] buffer that the router refills, and the compulsory
 //! streams are priced from running byte totals (`RequestStreams`)
 //! rather than from per-request payload lists.
 
+use crate::queueing::FifoServers;
 use mmrepl_baselines::{RequestRouter, RouteDecision};
 use mmrepl_model::{Bytes, Secs, Site, System};
-use mmrepl_netsim::{ConnectionProfile, ResponseStats};
+use mmrepl_netsim::{ConnectionProfile, ResponseStats, SimTime};
 use mmrepl_workload::{Request, SiteTrace};
 use serde::{Deserialize, Serialize};
 
 /// Aggregated replay results.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ReplayOutcome {
-    /// Page response times (Eq. 5 realized), one sample per page request.
+    /// Page response times (Eq. 5 realized, plus any queueing waits), one
+    /// sample per page request.
     pub pages: ResponseStats,
     /// Optional-download times (Eq. 6 realized), one sample per request
     /// that fetched at least one optional object.
@@ -34,6 +39,12 @@ pub struct ReplayOutcome {
     pub local_objects: u64,
     /// Total objects served by the repository.
     pub remote_objects: u64,
+    /// Queueing waits at the local sites, one sample per page request.
+    /// Empty unless the replay charges FIFO waits.
+    pub site_waits: ResponseStats,
+    /// Queueing waits at the repository, one sample per page request that
+    /// touched it. Empty unless the replay charges FIFO waits.
+    pub repo_waits: ResponseStats,
 }
 
 impl ReplayOutcome {
@@ -43,6 +54,8 @@ impl ReplayOutcome {
             optional: ResponseStats::new(),
             local_objects: 0,
             remote_objects: 0,
+            site_waits: ResponseStats::new(),
+            repo_waits: ResponseStats::new(),
         }
     }
 
@@ -52,6 +65,8 @@ impl ReplayOutcome {
         self.optional.merge(&other.optional);
         self.local_objects += other.local_objects;
         self.remote_objects += other.remote_objects;
+        self.site_waits.merge(&other.site_waits);
+        self.repo_waits.merge(&other.repo_waits);
     }
 
     /// Mean page response time, the figure-of-merit of every plot.
@@ -73,8 +88,8 @@ impl ReplayOutcome {
 /// One routed request's compulsory phase: two pipelined streams kept as
 /// byte totals and object counts. The local stream carries the HTML plus
 /// every locally-served compulsory object, the repository stream the
-/// rest. Shared by the plain, queueing and DES replays so all three price
-/// a request identically.
+/// rest. Shared by the replay loop and the DES oracle so both price a
+/// request identically.
 pub(crate) struct RequestStreams {
     /// The request's actual local-server connection.
     pub local: ConnectionProfile,
@@ -134,6 +149,12 @@ impl RequestStreams {
         self.remote
             .stream_time(self.remote_bytes, self.remote_objects)
     }
+
+    /// The page response (Eq. 5) when each stream first waits its
+    /// server's queue; zero waits give Eq. 5 exactly.
+    pub fn page_time(&self, site_wait: Secs, repo_wait: Secs) -> Secs {
+        (site_wait + self.local_time()).max(repo_wait + self.remote_time())
+    }
 }
 
 /// Replays one site's trace through `router`.
@@ -142,49 +163,8 @@ pub fn replay_site(
     trace: &SiteTrace,
     router: &mut dyn RequestRouter,
 ) -> ReplayOutcome {
-    let mut out = ReplayOutcome::new();
-    let site = system.site(trace.site);
-    let mut decision = RouteDecision::default();
-
-    for req in &trace.requests {
-        serve_request(system, site, req, router, &mut decision, &mut out);
-    }
-    out
-}
-
-fn serve_request(
-    system: &System,
-    site: &Site,
-    req: &Request,
-    router: &mut dyn RequestRouter,
-    decision: &mut RouteDecision,
-    out: &mut ReplayOutcome,
-) {
-    router.route(system, req.page, &req.optional_slots, decision);
-
-    // Compulsory phase: two pipelined parallel streams (Eq. 5).
-    let streams = RequestStreams::new(system, site, req, decision);
-    out.local_objects += streams.local_objects as u64;
-    out.remote_objects += streams.remote_objects as u64;
-    out.pages
-        .record(streams.local_time().max(streams.remote_time()));
-
-    // Optional phase: each fetch opens its own connection (Eq. 6).
-    if !req.optional_slots.is_empty() {
-        let page = system.page(req.page);
-        let mut total = Secs::ZERO;
-        for (&slot, &local) in req.optional_slots.iter().zip(&decision.local_optional) {
-            let size: Bytes = system.object_size(page.optional[slot as usize].object);
-            if local {
-                total += streams.local.single_fetch(size);
-                out.local_objects += 1;
-            } else {
-                total += streams.remote.single_fetch(size);
-                out.remote_objects += 1;
-            }
-        }
-        out.optional.record(total);
-    }
+    let order = (0..trace.requests.len()).map(|ri| (SimTime::ZERO, 0, ri));
+    replay(system, std::slice::from_ref(trace), order, router, None)
 }
 
 /// Replays every site's trace through `router`, merging the results.
@@ -195,12 +175,20 @@ pub fn replay_all(
     traces: &[SiteTrace],
     router: &mut dyn RequestRouter,
 ) -> ReplayOutcome {
+    traced(|| {
+        let mut out = ReplayOutcome::new();
+        for trace in traces {
+            out.merge(&replay_site(system, trace, router));
+        }
+        out
+    })
+}
+
+/// Runs one replay under the `replay.total` span and folds its totals
+/// into the trace.
+pub(crate) fn traced(run: impl FnOnce() -> ReplayOutcome) -> ReplayOutcome {
     let _span = mmrepl_obs::span("replay.total");
-    let mut out = ReplayOutcome::new();
-    for trace in traces {
-        let site_out = replay_site(system, trace, router);
-        out.merge(&site_out);
-    }
+    let out = run();
     if mmrepl_obs::enabled() {
         // The replay hot loop records into its own `ResponseStats`; the
         // whole distribution folds into the trace with one merge, so
@@ -209,6 +197,63 @@ pub fn replay_all(
         mmrepl_obs::add("replay.page_requests", out.pages.count());
         mmrepl_obs::add("replay.local_objects", out.local_objects);
         mmrepl_obs::add("replay.remote_objects", out.remote_objects);
+    }
+    out
+}
+
+/// The request loop behind every replay. `order` lists `(arrival, trace
+/// index, request index)`; each request is routed and priced through
+/// [`RequestStreams`]. With `fifo`, it is first admitted to the FIFO
+/// servers at its arrival time and each stream waits its server's queue;
+/// without, Eq. 5 is recorded as it stands and arrivals are not read.
+pub(crate) fn replay(
+    system: &System,
+    traces: &[SiteTrace],
+    order: impl IntoIterator<Item = (SimTime, usize, usize)>,
+    router: &mut dyn RequestRouter,
+    mut fifo: Option<&mut FifoServers>,
+) -> ReplayOutcome {
+    let mut out = ReplayOutcome::new();
+    let mut decision = RouteDecision::default();
+    for (arrival, si, ri) in order {
+        let trace = &traces[si];
+        let req = &trace.requests[ri];
+        let site = system.site(trace.site);
+        router.route(system, req.page, &req.optional_slots, &mut decision);
+
+        // Compulsory phase: two pipelined parallel streams (Eq. 5).
+        let streams = RequestStreams::new(system, site, req, &decision);
+        out.local_objects += streams.local_objects as u64;
+        out.remote_objects += streams.remote_objects as u64;
+        let (site_wait, repo_wait) = match fifo.as_deref_mut() {
+            None => (Secs::ZERO, Secs::ZERO),
+            Some(servers) => {
+                let (site_wait, repo_wait) = servers.admit(si, arrival, &streams, &decision);
+                out.site_waits.record(site_wait);
+                if let Some(w) = repo_wait {
+                    out.repo_waits.record(w);
+                }
+                (site_wait, repo_wait.unwrap_or(Secs::ZERO))
+            }
+        };
+        out.pages.record(streams.page_time(site_wait, repo_wait));
+
+        // Optional phase: each fetch opens its own connection (Eq. 6).
+        if !req.optional_slots.is_empty() {
+            let page = system.page(req.page);
+            let mut total = Secs::ZERO;
+            for (&slot, &local) in req.optional_slots.iter().zip(&decision.local_optional) {
+                let size: Bytes = system.object_size(page.optional[slot as usize].object);
+                if local {
+                    total += streams.local.single_fetch(size);
+                    out.local_objects += 1;
+                } else {
+                    total += streams.remote.single_fetch(size);
+                    out.remote_objects += 1;
+                }
+            }
+            out.optional.record(total);
+        }
     }
     out
 }
@@ -346,12 +391,7 @@ mod tests {
         let mut whole = StaticRouter::new(&placement, "ours");
         let all = replay_all(&sys, &perturbed, &mut whole);
 
-        let mut merged = ReplayOutcome {
-            pages: ResponseStats::new(),
-            optional: ResponseStats::new(),
-            local_objects: 0,
-            remote_objects: 0,
-        };
+        let mut merged = ReplayOutcome::new();
         for t in &perturbed {
             let mut router = StaticRouter::new(&placement, "ours");
             merged.merge(&replay_site(&sys, t, &mut router));

@@ -37,6 +37,12 @@ cargo run --offline -p mmrepl-bench --bin online -- \
     --quick --runs 1 --epochs 1 --windows 2 --out "$SMOKE_OUT" >/dev/null
 test -s "$SMOKE_OUT/online.json" && test -s "$SMOKE_OUT/online.txt"
 
+echo "==> queueing replay regenerates results/queueing.txt byte for byte (release)"
+cargo run --release --offline -q -p mmrepl-bench --bin queueing -- \
+    --out "$SMOKE_OUT" >/dev/null
+cmp "$SMOKE_OUT/queueing.txt" results/queueing.txt
+echo "  queueing ok: FIFO replay table identical to the committed one"
+
 echo "==> obs trace smoke (plan --trace-out emits parseable JSONL)"
 cargo run --offline -p mmrepl-cli --bin mmrepl -- \
     generate --seed 7 --out "$SMOKE_OUT/system.json" >/dev/null
