@@ -128,9 +128,10 @@ fn bench_scale(
     };
 
     // Live-telemetry cost model, same shape for the serving plane: how
-    // many time-series publications one fully routed trace makes,
-    // priced at the measured disabled-path cost per call, as a fraction
-    // of the untraced routing time.
+    // many recording calls one traced routing pass makes (counted by the
+    // merged recorder, which both the trace and the exposition read),
+    // priced at the measured disabled-path cost of `obs::add`, as a
+    // fraction of the untraced routing time.
     let telemetry_overhead = if full {
         let outcome = policy.plan(&system);
         let snap = std::sync::Arc::new(PlacementSnapshot::from_plan(&system, &outcome, 0));
@@ -140,18 +141,16 @@ fn bench_scale(
         });
         mmrepl_obs::reset();
         mmrepl_obs::set_enabled(true);
-        mmrepl_obs::register_core_metrics();
         route_traces(&snap, &traces, 1);
         mmrepl_obs::set_enabled(false);
-        let ts_ops = mmrepl_obs::ts_ops();
-        mmrepl_obs::reset();
+        let route_ops = mmrepl_obs::take().ops();
         const NOOP_CALLS: u64 = 10_000_000;
         let t = Instant::now();
         for i in 0..NOOP_CALLS {
-            mmrepl_obs::counter_add("bench.noop", std::hint::black_box(i));
+            mmrepl_obs::add("bench.noop", std::hint::black_box(i));
         }
         let per_op_disabled_s = t.elapsed().as_secs_f64() / NOOP_CALLS as f64;
-        Some(ts_ops as f64 * per_op_disabled_s / route_s)
+        Some(route_ops as f64 * per_op_disabled_s / route_s)
     } else {
         None
     };

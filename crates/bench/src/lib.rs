@@ -131,9 +131,10 @@ pub struct ScaleTimings {
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub obs_overhead: Option<f64>,
     /// Disabled-telemetry cost of one full routed trace as a fraction of
-    /// the untraced routing time: the number of time-series publications
-    /// an instrumented routing pass makes, times the measured per-call
-    /// cost when telemetry is off (a single relaxed atomic load).
+    /// the untraced routing time: the number of recording calls the
+    /// merged recorder counts for one traced routing pass, times the
+    /// measured per-call cost of `obs::add` when recording is off (a
+    /// single relaxed atomic load).
     /// `scripts/bench_regress.sh` fails if this exceeds 2%.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub telemetry_overhead: Option<f64>,

@@ -435,8 +435,10 @@ impl Command {
         };
         let take_scrape_interval = || -> Result<f64, String> {
             let v = take_f64("scrape-interval")?.unwrap_or(1.0);
-            if !(v.is_finite() && v > 0.0) {
-                return Err(format!("--scrape-interval must be positive, got {v}"));
+            if !(v > 0.0 && std::time::Duration::try_from_secs_f64(v).is_ok()) {
+                return Err(format!(
+                    "--scrape-interval must be a positive number of seconds a timer can hold, got {v}"
+                ));
             }
             Ok(v)
         };
@@ -1216,6 +1218,16 @@ mod tests {
             parse(&["online", "--scrape-interval", "-1"]),
             Err(ParseError::Invalid(_))
         ));
+        // Nor can one no timer holds: a typed error, not a panic later.
+        for huge in ["1e30", "inf", "NaN"] {
+            assert!(
+                matches!(
+                    parse(&["route", "--system", "s.json", "--scrape-interval", huge]),
+                    Err(ParseError::Invalid(_))
+                ),
+                "{huge}"
+            );
+        }
     }
 
     #[test]

@@ -203,7 +203,6 @@ fn with_obs<T>(
     mmrepl_obs::set_enabled(true);
     let exporter = target
         .map(|t| {
-            mmrepl_obs::register_core_metrics();
             let exp = mmrepl_obs::Exporter::start(t, Duration::from_secs_f64(scrape_interval))
                 .map_err(|e| format!("starting telemetry exporter: {e}"))?;
             println!("telemetry exposition at {}", exp.endpoint());
@@ -232,12 +231,12 @@ fn with_trace<T>(out: Option<&Path>, f: impl FnOnce() -> T) -> Result<T, CliErro
 }
 
 /// `mmrepl top`: drive a quick study on a background thread and render
-/// the live telemetry registry until it finishes.
+/// the live view until it finishes.
 ///
-/// The render loop owns the exposition clock (`slo_tick` +
-/// `advance_windows` once per frame); no [`mmrepl_obs::Exporter`] runs
-/// concurrently, so the windowed rates and SLO burn windows advance
-/// exactly once per refresh period.
+/// The render loop owns the exposition clock ([`mmrepl_obs::tick`] once
+/// per frame); no [`mmrepl_obs::Exporter`] runs concurrently, so the
+/// windowed rates and SLO burn windows advance exactly once per refresh
+/// period.
 fn top(
     study: StudyName,
     refresh_ms: u64,
@@ -250,7 +249,6 @@ fn top(
     }
     mmrepl_obs::reset();
     mmrepl_obs::set_enabled(true);
-    mmrepl_obs::register_core_metrics();
     let done = Arc::new(AtomicBool::new(false));
     let runner = {
         let done = Arc::clone(&done);
@@ -270,8 +268,7 @@ fn top(
     let mut frame = 0usize;
     loop {
         std::thread::sleep(refresh);
-        mmrepl_obs::slo_tick();
-        mmrepl_obs::advance_windows(dt);
+        mmrepl_obs::tick(dt);
         let cur = mmrepl_obs::gather();
         let screen = crate::dash::render_dashboard(prev.as_ref(), &cur, dt);
         if ansi {
@@ -304,8 +301,8 @@ fn top(
 }
 
 /// The background workload one `mmrepl top` invocation watches: a
-/// single quick-scale run of the named study, publishing into the live
-/// registry as it goes.
+/// single quick-scale run of the named study, publishing into the
+/// recorder as it goes.
 fn run_top_study(study: StudyName, seed: Option<u64>) {
     let quick = |seed: Option<u64>| {
         let mut cfg = mmrepl_sim::ExperimentConfig::quick();

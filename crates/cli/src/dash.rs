@@ -11,9 +11,9 @@ use std::fmt::Write as _;
 /// Renders one dashboard frame.
 ///
 /// Counter rates are differenced against `prev` over `dt` seconds when
-/// a previous frame exists, falling back to the registry's own windowed
+/// a previous frame exists, falling back to the view's own windowed
 /// rate on the first frame (the two agree whenever the caller drives
-/// `advance_windows` at the same cadence).
+/// `mmrepl_obs::tick` at the same cadence).
 pub fn render_dashboard(
     prev: Option<&TelemetrySnapshot>,
     cur: &TelemetrySnapshot,
@@ -103,7 +103,6 @@ mod tests {
     fn counter(name: &str, value: u64, rate: f64) -> TsCounter {
         TsCounter {
             name: name.to_string(),
-            help: String::new(),
             value,
             rate_per_s: rate,
         }
@@ -149,12 +148,10 @@ mod tests {
                 counters: vec![counter("serve.route.requests", 7, 7.0)],
                 gauges: vec![TsGauge {
                     name: "online.epoch".to_string(),
-                    help: String::new(),
                     value: 3.0,
                 }],
                 reservoirs: vec![TsReservoir {
                     name: "serve.route.latency_s".to_string(),
-                    help: String::new(),
                     count: 7,
                     sum_s: 0.7,
                     window_count: 7,

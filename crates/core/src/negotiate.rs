@@ -744,13 +744,15 @@ fn negotiate(
         mmrepl_obs::add("negotiate.duplicates_ignored", report.duplicates_ignored);
         mmrepl_obs::add("negotiate.messages", report.messages);
         mmrepl_obs::record_value("negotiate.absorbed_reqps", report.absorbed);
-        // Live mirrors of the same tallies for the telemetry plane.
-        mmrepl_obs::counter_add("negotiate.rounds", report.rounds as u64);
-        mmrepl_obs::counter_add("negotiate.retries", report.retries);
-        mmrepl_obs::counter_add("negotiate.timeouts", report.timeouts);
-        mmrepl_obs::counter_add("negotiate.degraded_sites", report.degraded_sites);
-        mmrepl_obs::counter_add("negotiate.duplicates_ignored", report.duplicates_ignored);
-        mmrepl_obs::counter_add("negotiate.messages", report.messages);
+        // The bus's cost, once per run: this is its only user.
+        let bus = &report.bus;
+        mmrepl_obs::add("netsim.bus.sent", bus.sent);
+        mmrepl_obs::add("netsim.bus.delivered", bus.delivered);
+        mmrepl_obs::add("netsim.bus.dropped", bus.dropped);
+        mmrepl_obs::add("netsim.bus.duplicated", bus.duplicated_extra);
+        mmrepl_obs::add("netsim.bus.reordered", bus.reordered);
+        mmrepl_obs::set_gauge("netsim.bus.in_flight", s.bus.in_flight() as f64);
+        mmrepl_obs::flush_thread();
     }
     NegotiateOutcome {
         report,

@@ -239,7 +239,6 @@ impl<M: Clone> MessageBus<M> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.stats.sent += 1;
-        mmrepl_obs::counter_add("netsim.bus.sent", 1);
         let sent_at = self.queue.now();
 
         if self.faults.is_reliable() {
@@ -269,7 +268,6 @@ impl<M: Clone> MessageBus<M> {
 
         if drop_roll < self.faults.drop {
             self.stats.dropped += 1;
-            mmrepl_obs::counter_add("netsim.bus.dropped", 1);
             return seq;
         }
 
@@ -283,7 +281,6 @@ impl<M: Clone> MessageBus<M> {
             // Hold the message back past its own latency window so any
             // message sent within the next 1–2 latencies overtakes it.
             self.stats.reordered += 1;
-            mmrepl_obs::counter_add("netsim.bus.reordered", 1);
             delay += self.latency.get() * (1.0 + reorder_roll / self.faults.reorder.max(1e-12));
         }
         let deliver_at = sent_at.after(delay);
@@ -301,7 +298,6 @@ impl<M: Clone> MessageBus<M> {
         if dup_roll < self.faults.duplicate {
             // The copy trails the original by a fraction of a latency.
             self.stats.duplicated_extra += 1;
-            mmrepl_obs::counter_add("netsim.bus.duplicated", 1);
             let copy_at = deliver_at.after(self.latency.get() * (0.1 + 0.9 * dup_offset_roll));
             self.queue.schedule(
                 copy_at,
@@ -322,10 +318,6 @@ impl<M: Clone> MessageBus<M> {
     pub fn deliver_next(&mut self) -> Option<Envelope<M>> {
         let (_, env) = self.queue.pop()?;
         self.stats.delivered += 1;
-        if mmrepl_obs::enabled() {
-            mmrepl_obs::counter_add("netsim.bus.delivered", 1);
-            mmrepl_obs::gauge_set("netsim.bus.in_flight", self.in_flight() as f64);
-        }
         Some(env)
     }
 

@@ -1,7 +1,8 @@
 //! JSONL export and the end-of-run stage table.
 //!
 //! Each trace line is one JSON object with a `record` field naming its
-//! kind: `meta`, `span`, `counter`, `hist`, `decision` or `event`. The
+//! kind: `meta`, `span`, `counter`, `gauge`, `hist`, `decision` or
+//! `event`. The
 //! schema is flat on purpose — `json.loads` per line is all a consumer
 //! needs (see the smoke check in `scripts/check.sh`).
 
@@ -12,7 +13,8 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Trace schema version stamped into the `meta` line.
-pub const TRACE_SCHEMA: u32 = 1;
+/// Version 2 added the `gauge` record.
+pub const TRACE_SCHEMA: u32 = 2;
 
 #[derive(Serialize, Deserialize)]
 struct MetaLine {
@@ -38,6 +40,13 @@ struct CounterLine {
     record: String,
     name: String,
     value: u64,
+}
+
+#[derive(Serialize, Deserialize)]
+struct GaugeLine {
+    record: String,
+    name: String,
+    value: f64,
 }
 
 #[derive(Serialize, Deserialize)]
@@ -71,7 +80,7 @@ struct EventLine {
 }
 
 /// Serialises a recorder as JSON Lines: one `meta` line, then every span,
-/// counter, histogram, decision and event.
+/// counter, gauge, histogram, decision and event.
 pub fn to_jsonl(rec: &Recorder) -> String {
     let mut out = String::new();
     let push = |out: &mut String, line: String| {
@@ -112,6 +121,17 @@ pub fn to_jsonl(rec: &Recorder) -> String {
                 value,
             })
             .expect("serialise counter line"),
+        );
+    }
+    for (name, &value) in rec.gauges() {
+        push(
+            &mut out,
+            serde_json::to_string(&GaugeLine {
+                record: "gauge".into(),
+                name: name.clone(),
+                value,
+            })
+            .expect("serialise gauge line"),
         );
     }
     for (name, h) in rec.hists() {
@@ -308,6 +328,7 @@ mod tests {
     fn sample() -> Recorder {
         let mut r = Recorder::with_cap(16);
         r.add("storage.heap_pops", 12);
+        r.set_gauge("online.epoch", 3.0);
         r.record_span_ns("plan.total", 2_000_000);
         r.record_span_ns("plan.partition", 500_000);
         r.record_value("offload.absorbed", 3.5);
@@ -332,8 +353,9 @@ mod tests {
     fn jsonl_has_one_parseable_line_per_item() {
         let text = to_jsonl(&sample());
         let lines: Vec<&str> = text.lines().collect();
-        // meta + 2 spans + 1 counter + 1 hist + 1 decision + 1 event.
-        assert_eq!(lines.len(), 7);
+        // meta + 2 spans + 1 counter + 1 gauge + 1 hist + 1 decision + 1
+        // event.
+        assert_eq!(lines.len(), 8);
         assert!(lines[0].contains("\"record\":\"meta\""));
         // Every line round-trips through the discriminating field.
         for line in &lines {
@@ -347,10 +369,12 @@ mod tests {
         let span: SpanLine = serde_json::from_str(lines[1]).unwrap();
         assert_eq!(span.name, "plan.partition");
         assert!((span.total_s - 5e-4).abs() < 1e-12);
-        let dec: DecisionLine = serde_json::from_str(lines[5]).unwrap();
+        let gauge: GaugeLine = serde_json::from_str(lines[4]).unwrap();
+        assert_eq!((gauge.name.as_str(), gauge.value), ("online.epoch", 3.0));
+        let dec: DecisionLine = serde_json::from_str(lines[6]).unwrap();
         assert_eq!((dec.site, dec.page, dec.object), (1, 2, 3));
         assert_eq!(dec.stream, "local");
-        let ev: EventLine = serde_json::from_str(lines[6]).unwrap();
+        let ev: EventLine = serde_json::from_str(lines[7]).unwrap();
         assert_eq!(ev.kind, "audit_divergence");
         assert_eq!(ev.site, Some(1));
     }
@@ -426,7 +450,7 @@ mod tests {
             h.record(0.010);
         }
         h.record(2.0);
-        r.merge_histogram("serve.route.latency_s", &h);
+        r.merge_histogram("serve.route.latency_s", &h, 2.99);
         let table = stage_table(&r);
         assert!(table.contains("serve.route latency p50"), "{table}");
         assert!(table.contains("p99"), "{table}");

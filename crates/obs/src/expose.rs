@@ -1,12 +1,13 @@
-//! Prometheus text-format exposition of the live telemetry registry.
+//! Prometheus text-format exposition of the live view.
 //!
-//! [`gather`] snapshots the time-series registry and the SLO trackers;
-//! [`to_prometheus`] renders that snapshot as Prometheus text format
-//! 0.0.4 (`# HELP`/`# TYPE` comments, `_total` counters, summary
-//! quantiles). [`Exporter`] runs a background ticker that advances the
-//! metric windows and either answers HTTP `GET`s on a bound address or
-//! atomically rewrites a scrape file every interval — the
-//! `--expose <addr|file>` flag on `mmrepl online`/`route`/`negotiate`.
+//! [`gather`] computes the live view of the global sink — the exposed
+//! series and the SLO statuses; [`to_prometheus`] renders it as
+//! Prometheus text format 0.0.4 (`# HELP`/`# TYPE` comments from the
+//! series table, `_total` counters, summary quantiles). [`Exporter`]
+//! runs a background ticker that closes the view's windows and either
+//! answers HTTP `GET`s on a bound address or atomically rewrites a
+//! scrape file every interval — the `--expose <addr|file>` flag on
+//! `mmrepl online`/`route`/`negotiate`.
 //!
 //! The HTTP endpoint answers only `GET /metrics`. It reads at most
 //! [`MAX_HEAD`] bytes of request head within [`HEAD_TIMEOUT`], and refuses
@@ -14,13 +15,12 @@
 //! method, 400 for a head it cannot parse, 408 for a client that stalls,
 //! 431 for an oversized head.
 //!
-//! Exactly one clock may drive [`crate::slo_tick`] and
-//! [`crate::advance_windows`] at a time: the [`Exporter`] owns it when
-//! running, and `mmrepl top` drives it from its render loop instead of
-//! starting an exporter.
+//! Exactly one clock may drive [`crate::tick`] at a time: the
+//! [`Exporter`] owns it when running, and `mmrepl top` drives it from
+//! its render loop instead of starting an exporter.
 
-use crate::slo::{slo_tick, SloStatus};
-use crate::timeseries::{advance_windows, ts_snapshot, TsSnapshot};
+use crate::slo::SloStatus;
+use crate::timeseries::{help, tick, TsSnapshot};
 use std::fmt::Write as _;
 use std::io::{ErrorKind, Read as _, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -40,11 +40,14 @@ pub struct TelemetrySnapshot {
     pub slos: Vec<SloStatus>,
 }
 
-/// Snapshots the registry and the SLO trackers together.
+/// Flushes the calling thread and computes the live view of the sink:
+/// the exposed series and the SLO statuses, read under one lock.
 pub fn gather() -> TelemetrySnapshot {
+    crate::flush_thread();
+    let sink = crate::recorder::sink().lock().unwrap();
     TelemetrySnapshot {
-        series: ts_snapshot(),
-        slos: crate::slo::slo_statuses(),
+        series: crate::timeseries::view(&sink),
+        slos: crate::slo::statuses(&sink),
     }
 }
 
@@ -72,7 +75,7 @@ pub fn to_prometheus(snap: &TelemetrySnapshot) -> String {
     let mut out = String::new();
     for c in &snap.series.counters {
         let name = prom_name(&c.name);
-        header(&mut out, &format!("{name}_total"), &c.help, "counter");
+        header(&mut out, &format!("{name}_total"), help(&c.name), "counter");
         let _ = writeln!(out, "{name}_total {}", c.value);
         header(
             &mut out,
@@ -84,12 +87,12 @@ pub fn to_prometheus(snap: &TelemetrySnapshot) -> String {
     }
     for g in &snap.series.gauges {
         let name = prom_name(&g.name);
-        header(&mut out, &name, &g.help, "gauge");
+        header(&mut out, &name, help(&g.name), "gauge");
         let _ = writeln!(out, "{name} {}", g.value);
     }
     for r in &snap.series.reservoirs {
         let name = prom_name(&r.name);
-        header(&mut out, &name, &r.help, "summary");
+        header(&mut out, &name, help(&r.name), "summary");
         for (q, v) in [
             ("0.5", r.p50),
             ("0.9", r.p90),
@@ -260,12 +263,6 @@ impl Drop for Exporter {
             let _ = handle.join();
         }
     }
-}
-
-/// Closes one telemetry window: SLO ticks first, then metric windows.
-fn tick(dt_s: f64) {
-    slo_tick();
-    advance_windows(dt_s);
 }
 
 fn file_loop(path: &Path, interval: Duration, stop: &AtomicBool) {
@@ -448,8 +445,8 @@ fn http_loop(listener: &TcpListener, interval: Duration, stop: &AtomicBool) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slo::{register_slo, slo_record, SloSpec};
-    use crate::timeseries::{counter_add, gauge_set, observe, register_counter};
+    use crate::slo::{register_slo, SloSpec};
+    use crate::Histogram;
 
     #[test]
     fn scrape_target_parses_addresses_and_paths() {
@@ -469,24 +466,28 @@ mod tests {
         let _g = crate::TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         crate::reset();
         crate::set_enabled(true);
-        register_counter("ex.requests", "requests routed");
-        counter_add("ex.requests", 41);
-        gauge_set("ex.depth", 3.5);
-        observe("ex.latency_s", 0.25);
-        register_slo(SloSpec::from_qos("ex.slo", 1.0));
+        crate::add("serve.route.requests", 41);
+        crate::set_gauge("online.migration_queue_bytes", 3.5);
+        register_slo(SloSpec::from_qos("ex.slo", "serve.route.latency_s", 1.0));
         // All good: burn 0, not alerting (a 99.9% objective fires on
         // nearly any miss).
-        slo_record("ex.slo", 10, 10);
-        crate::slo::slo_tick();
+        let mut h = Histogram::for_response_times();
+        for _ in 0..10 {
+            h.record(0.25);
+        }
+        crate::merge_histogram("serve.route.latency_s", &h, 2.5);
+        crate::flush_thread();
+        tick(1.0);
         crate::set_enabled(false);
         let text = to_prometheus(&gather());
-        assert!(text.contains("# HELP mmrepl_ex_requests_total requests routed"));
-        assert!(text.contains("# TYPE mmrepl_ex_requests_total counter"));
-        assert!(text.contains("mmrepl_ex_requests_total 41"));
-        assert!(text.contains("mmrepl_ex_depth 3.5"));
-        assert!(text.contains("# TYPE mmrepl_ex_latency_s summary"));
-        assert!(text.contains("mmrepl_ex_latency_s{quantile=\"0.999\"}"));
-        assert!(text.contains("mmrepl_ex_latency_s_count 1"));
+        assert!(text.contains("# HELP mmrepl_serve_route_requests_total requests routed"));
+        assert!(text.contains("# TYPE mmrepl_serve_route_requests_total counter"));
+        assert!(text.contains("mmrepl_serve_route_requests_total 41"));
+        assert!(text.contains("mmrepl_online_migration_queue_bytes 3.5"));
+        assert!(text.contains("# TYPE mmrepl_serve_route_latency_s summary"));
+        assert!(text.contains("mmrepl_serve_route_latency_s{quantile=\"0.999\"}"));
+        assert!(text.contains("mmrepl_serve_route_latency_s_sum 2.5"));
+        assert!(text.contains("mmrepl_serve_route_latency_s_count 10"));
         assert!(text.contains("mmrepl_slo_burn_rate{slo=\"ex.slo\",window=\"short\"}"));
         assert!(text.contains("mmrepl_slo_burn_rate{slo=\"ex.slo\",window=\"long\"}"));
         assert!(text.contains("mmrepl_slo_alerting{slo=\"ex.slo\"} 0"));
@@ -509,7 +510,8 @@ mod tests {
         let _g = crate::TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         crate::reset();
         crate::set_enabled(true);
-        counter_add("ex.file", 7);
+        crate::add("serve.route.requests", 7);
+        crate::flush_thread();
         let dir = std::env::temp_dir().join("mmrepl-expose-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("scrape.prom");
@@ -520,7 +522,10 @@ mod tests {
         exporter.stop();
         crate::set_enabled(false);
         let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("mmrepl_ex_file_total 7"), "{text}");
+        assert!(
+            text.contains("mmrepl_serve_route_requests_total 7"),
+            "{text}"
+        );
         crate::reset();
     }
 
@@ -529,7 +534,8 @@ mod tests {
         let _g = crate::TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         crate::reset();
         crate::set_enabled(true);
-        counter_add("ex.http", 3);
+        crate::add("negotiate.rounds", 3);
+        crate::flush_thread();
         let exporter = Exporter::start(
             ScrapeTarget::Http("127.0.0.1:0".parse().unwrap()),
             Duration::from_millis(50),
@@ -564,7 +570,10 @@ mod tests {
             );
             assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
             assert!(response.contains("text/plain; version=0.0.4"), "{response}");
-            assert!(response.contains("mmrepl_ex_http_total 3"), "{response}");
+            assert!(
+                response.contains("mmrepl_negotiate_rounds_total 3"),
+                "{response}"
+            );
             // A query string still names the metrics path.
             let response = send(addr, b"GET /metrics?x=1 HTTP/1.0\r\n\r\n");
             assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
@@ -577,7 +586,10 @@ mod tests {
             for path in ["/", "/metrics/", "/favicon.ico"] {
                 let response = send(addr, format!("GET {path} HTTP/1.1\r\n\r\n").as_bytes());
                 assert!(response.starts_with("HTTP/1.1 404 "), "{path}: {response}");
-                assert!(!response.contains("mmrepl_ex_http_total"), "{response}");
+                assert!(
+                    !response.contains("mmrepl_negotiate_rounds_total"),
+                    "{response}"
+                );
             }
         });
     }
@@ -654,7 +666,10 @@ mod tests {
             let mut silent = TcpStream::connect(addr).unwrap();
             let response = send(addr, b"GET /metrics HTTP/1.1\r\n\r\n");
             assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
-            assert!(response.contains("mmrepl_ex_http_total 3"), "{response}");
+            assert!(
+                response.contains("mmrepl_negotiate_rounds_total 3"),
+                "{response}"
+            );
             // The stalled client was timed out rather than held open.
             let mut timed_out = String::new();
             silent.read_to_string(&mut timed_out).unwrap();

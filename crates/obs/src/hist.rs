@@ -123,6 +123,21 @@ impl Histogram {
         self.min == other.min && self.max == other.max && self.buckets.len() == other.buckets.len()
     }
 
+    /// The samples recorded since `earlier`, an older copy of this
+    /// cumulative histogram: bucket-count differences, saturating at 0
+    /// for a bucket a drained sink restarted below `earlier`.
+    pub(crate) fn since(&self, earlier: &Histogram) -> Histogram {
+        debug_assert!(
+            self.compatible(earlier),
+            "differencing incompatible histograms"
+        );
+        let mut out = self.clone();
+        for (a, &b) in out.buckets.iter_mut().zip(&earlier.buckets) {
+            *a = a.saturating_sub(b);
+        }
+        out
+    }
+
     /// Merges another histogram with identical configuration.
     ///
     /// # Panics

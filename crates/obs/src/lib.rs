@@ -4,16 +4,23 @@
 //! # mmrepl-obs
 //!
 //! Structured tracing and metrics for the whole workspace: lightweight
-//! spans, counters, log-spaced histograms, decision-provenance records
-//! and typed events, all behind one atomic enabled-check so the disabled
-//! path costs a single relaxed load per call site.
+//! spans, counters, gauges, log-spaced histograms, decision-provenance
+//! records and typed events, all behind one atomic enabled-check so the
+//! disabled path costs a single relaxed load per call site.
 //!
 //! Recording is thread-local ([`Recorder`] per thread, no locks in hot
 //! paths); `mmrepl-core`'s worker pool flushes each worker's recorder
-//! into a global sink after every dispatch, so parallel planner and
-//! replay runs aggregate deterministically. [`snapshot`]/[`take`] read
-//! the aggregate; [`to_jsonl`]/[`write_jsonl`] export it; [`stage_table`]
-//! renders the per-stage wall-time breakdown.
+//! into a global sink after every dispatch, and live publishers flush
+//! after each batch, so parallel planner and replay runs aggregate
+//! deterministically. The sink is the one metric store, with two views:
+//!
+//! * the **trace** — [`snapshot`]/[`take`] read the aggregate,
+//!   [`to_jsonl`]/[`write_jsonl`] export it and [`stage_table`] renders
+//!   the per-stage wall-time breakdown;
+//! * the **live view** — [`gather`] computes the exposed series (one
+//!   const table of names, kinds and help texts) and SLO statuses from
+//!   the sink, with rates and windowed quantiles closed by [`tick`];
+//!   [`to_prometheus`] and the [`Exporter`] serve it.
 //!
 //! ## Example
 //!
@@ -42,21 +49,17 @@ pub use expose::{gather, to_prometheus, Exporter, ScrapeTarget, TelemetrySnapsho
 pub use hist::Histogram;
 pub use recorder::{
     add, decision, enabled, event, flush_thread, merge_histogram, provenance_cap, record_value,
-    reset, set_enabled, set_provenance_cap, snapshot, span, take, Decision, Event, Recorder, Span,
-    SpanStat, DEFAULT_PROVENANCE_CAP, EVENT_CAP,
+    reset, set_enabled, set_gauge, set_provenance_cap, snapshot, span, take, Decision, Event,
+    Recorder, Span, SpanStat, DEFAULT_PROVENANCE_CAP, EVENT_CAP,
 };
 pub use slo::{
-    register_slo, reset_slo, slo_record, slo_record_latencies, slo_statuses, slo_tick,
-    take_slo_events, SloEvent, SloEventKind, SloSpec, SloStatus, DEFAULT_LATENCY_TARGET_S,
+    register_slo, take_slo_events, SloEvent, SloEventKind, SloSpec, SloStatus,
+    DEFAULT_LATENCY_TARGET_S,
 };
-pub use timeseries::{
-    advance_windows, counter_add, gauge_set, observe, observe_hist, register_core_metrics,
-    register_counter, register_gauge, register_reservoir, reset_timeseries, ts_ops, ts_snapshot,
-    TsCounter, TsGauge, TsReservoir, TsSnapshot, RESERVOIR_WINDOWS,
-};
+pub use timeseries::{tick, TsCounter, TsGauge, TsReservoir, TsSnapshot, RESERVOIR_WINDOWS};
 
 /// Serialises tests that toggle the process-wide enabled flag or read
-/// the global sink/registry: the whole crate's stateful tests share one
-/// lock so parallel test threads can't interleave global state.
+/// the global sink: the whole crate's stateful tests share one lock so
+/// parallel test threads can't interleave global state.
 #[cfg(test)]
 pub(crate) static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());

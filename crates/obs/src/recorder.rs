@@ -9,16 +9,17 @@
 //!    without synchronisation. Hot loops never touch a lock;
 //! 3. a **global sink** recorder that thread-locals merge into via
 //!    [`flush_thread`]. `mmrepl-core`'s worker pool calls it after every
-//!    dispatch, so spans and counters recorded on pool workers aggregate
-//!    with the caller's; [`snapshot`]/[`take`] flush the calling thread
-//!    and read the sink.
+//!    dispatch, and every live publisher calls it after its batch, so
+//!    the sink is the one store both views read: [`snapshot`]/[`take`]
+//!    for the trace and stage table, [`crate::gather`] for the
+//!    Prometheus exposition and `mmrepl top`.
 //!
 //! [`Recorder::merge`] is commutative up to provenance *content* (the
-//! ring buffer keeps whichever `cap` decisions arrive last): counters,
-//! span totals and histograms come out identical whatever the merge
-//! order, which is what makes per-thread recording deterministic to
-//! aggregate. The property tests in `tests/prop_recorder.rs` pin this
-//! down.
+//! ring buffer keeps whichever `cap` decisions arrive last) and gauges
+//! (last write wins): counters, span totals and histogram buckets come
+//! out identical whatever the merge order, which is what makes
+//! per-thread recording deterministic to aggregate. The property tests
+//! in `tests/prop_recorder.rs` pin this down.
 
 use crate::Histogram;
 use serde::{Deserialize, Serialize};
@@ -111,14 +112,17 @@ pub struct Event {
     pub detail: String,
 }
 
-/// A mergeable bundle of counters, span timings, histograms, decision
-/// provenance and events. One lives per thread; merged copies form
-/// snapshots.
+/// A mergeable bundle of counters, gauges, span timings, histograms,
+/// decision provenance and events. One lives per thread; merged copies
+/// form snapshots.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Recorder {
     counters: BTreeMap<String, u64>,
+    gauges: BTreeMap<String, f64>,
     spans: BTreeMap<String, SpanStat>,
     hists: BTreeMap<String, Histogram>,
+    /// Cumulative sum of every value each histogram absorbed.
+    sums: BTreeMap<String, f64>,
     // Ring buffer: once `decisions` reaches `cap`, `head` is the slot the
     // next decision overwrites (also the oldest entry).
     decisions: Vec<Decision>,
@@ -146,8 +150,10 @@ impl Recorder {
     pub fn with_cap(cap: usize) -> Self {
         Recorder {
             counters: BTreeMap::new(),
+            gauges: BTreeMap::new(),
             spans: BTreeMap::new(),
             hists: BTreeMap::new(),
+            sums: BTreeMap::new(),
             decisions: Vec::new(),
             head: 0,
             cap: cap.max(1),
@@ -181,6 +187,16 @@ impl Recorder {
         }
     }
 
+    /// Sets the named gauge; the last write wins, in merges too.
+    pub fn set_gauge(&mut self, name: &str, v: f64) {
+        self.ops += 1;
+        if let Some(g) = self.gauges.get_mut(name) {
+            *g = v;
+        } else {
+            self.gauges.insert(name.to_owned(), v);
+        }
+    }
+
     /// Folds one completed span into the named span's aggregate.
     pub fn record_span_ns(&mut self, name: &str, ns: u64) {
         // A span costs two enabled-checks on the disabled path (enter and
@@ -202,16 +218,27 @@ impl Recorder {
             h.record(v);
             self.hists.insert(name.to_owned(), h);
         }
+        self.add_sum(name, v);
     }
 
-    /// Merges an externally-built histogram (any layout) into the named
-    /// slot. A name must always carry one layout; see [`Histogram::merge`].
-    pub fn merge_histogram(&mut self, name: &str, h: &Histogram) {
+    /// Merges an externally-built histogram (any layout) whose samples
+    /// sum to `sum` into the named slot. A name must always carry one
+    /// layout; see [`Histogram::merge`].
+    pub fn merge_histogram(&mut self, name: &str, h: &Histogram, sum: f64) {
         self.ops += 1;
         if let Some(mine) = self.hists.get_mut(name) {
             mine.merge(h);
         } else {
             self.hists.insert(name.to_owned(), h.clone());
+        }
+        self.add_sum(name, sum);
+    }
+
+    fn add_sum(&mut self, name: &str, v: f64) {
+        if let Some(s) = self.sums.get_mut(name) {
+            *s += v;
+        } else {
+            self.sums.insert(name.to_owned(), v);
         }
     }
 
@@ -248,6 +275,16 @@ impl Recorder {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
+    /// Gauges, sorted by name.
+    pub fn gauges(&self) -> &BTreeMap<String, f64> {
+        &self.gauges
+    }
+
+    /// Value of one gauge (`None` when never set).
+    pub fn gauge(&self, name: &str) -> Option<f64> {
+        self.gauges.get(name).copied()
+    }
+
     /// Span aggregates, sorted by name.
     pub fn spans(&self) -> &BTreeMap<String, SpanStat> {
         &self.spans
@@ -261,6 +298,11 @@ impl Recorder {
     /// Histograms, sorted by name.
     pub fn hists(&self) -> &BTreeMap<String, Histogram> {
         &self.hists
+    }
+
+    /// Sum of every value the named histogram absorbed (0 when absent).
+    pub fn hist_sum(&self, name: &str) -> f64 {
+        self.sums.get(name).copied().unwrap_or(0.0)
     }
 
     /// Decision provenance in arrival order (oldest surviving first).
@@ -290,8 +332,9 @@ impl Recorder {
     }
 
     /// Merges another recorder into this one. Counters, span aggregates
-    /// and histograms are order-independent; the decision ring keeps the
-    /// last `cap` records in merge order.
+    /// and histogram buckets are order-independent; gauges take
+    /// `other`'s value and the decision ring keeps the last `cap` records
+    /// in merge order.
     pub fn merge(&mut self, other: &Recorder) {
         for (k, &v) in &other.counters {
             if let Some(c) = self.counters.get_mut(k) {
@@ -299,6 +342,9 @@ impl Recorder {
             } else {
                 self.counters.insert(k.clone(), v);
             }
+        }
+        for (k, &v) in &other.gauges {
+            self.gauges.insert(k.clone(), v);
         }
         for (k, &v) in &other.spans {
             let s = self.spans.entry(k.clone()).or_default();
@@ -311,6 +357,9 @@ impl Recorder {
             } else {
                 self.hists.insert(k.clone(), h.clone());
             }
+        }
+        for (k, &v) in &other.sums {
+            self.add_sum(k, v);
         }
         for d in other.decisions() {
             if self.decisions.len() < self.cap {
@@ -338,7 +387,9 @@ thread_local! {
     static TLS: RefCell<Recorder> = RefCell::new(Recorder::new());
 }
 
-fn sink() -> &'static Mutex<Recorder> {
+/// The global sink every thread flushes into: the one store behind the
+/// trace ([`snapshot`]/[`take`]) and the live view ([`crate::gather`]).
+pub(crate) fn sink() -> &'static Mutex<Recorder> {
     static SINK: OnceLock<Mutex<Recorder>> = OnceLock::new();
     SINK.get_or_init(|| Mutex::new(Recorder::new()))
 }
@@ -380,6 +431,15 @@ pub fn add(name: &'static str, delta: u64) {
     }
 }
 
+/// Sets a named gauge on the current thread's recorder (last write
+/// wins).
+#[inline]
+pub fn set_gauge(name: &'static str, v: f64) {
+    if enabled() {
+        TLS.with(|r| r.borrow_mut().set_gauge(name, v));
+    }
+}
+
 /// Records a value into a named histogram on the current thread's
 /// recorder.
 #[inline]
@@ -389,11 +449,12 @@ pub fn record_value(name: &'static str, v: f64) {
     }
 }
 
-/// Merges an externally-accumulated histogram into the named slot.
+/// Merges an externally-accumulated histogram, whose samples sum to
+/// `sum`, into the named slot.
 #[inline]
-pub fn merge_histogram(name: &'static str, h: &Histogram) {
+pub fn merge_histogram(name: &'static str, h: &Histogram, sum: f64) {
     if enabled() {
-        TLS.with(|r| r.borrow_mut().merge_histogram(name, h));
+        TLS.with(|r| r.borrow_mut().merge_histogram(name, h, sum));
     }
 }
 
@@ -422,7 +483,8 @@ pub fn event(kind: &str, site: Option<u32>, stage: &str, detail: String) {
 
 /// Merges the current thread's recorder into the global sink and clears
 /// it. Cheap no-op when the thread recorded nothing. `mmrepl-core`'s
-/// worker pool calls this after every dispatch; call it yourself on any
+/// worker pool calls this after every dispatch, and every live publisher
+/// after its batch so the exposition sees it; call it yourself on any
 /// thread you spawned by hand before reading a snapshot.
 pub fn flush_thread() {
     TLS.with(|r| {
@@ -449,14 +511,14 @@ pub fn take() -> Recorder {
 }
 
 /// Clears the calling thread's recorder, the global sink, and the live
-/// telemetry plane (time-series registry and SLO trackers), so
-/// back-to-back studies in one process cannot leak metrics between
-/// runs. Recorders on other threads are expected to already be flushed
-/// (the pool flushes after every dispatch).
+/// view's window state and SLO trackers, so back-to-back studies in one
+/// process cannot leak metrics between runs. Recorders on other threads
+/// are expected to already be flushed (the pool flushes after every
+/// dispatch).
 pub fn reset() {
     TLS.with(|r| *r.borrow_mut() = Recorder::new());
     *sink().lock().unwrap() = Recorder::new();
-    crate::timeseries::reset_timeseries();
+    crate::timeseries::reset_windows();
     crate::slo::reset_slo();
 }
 
@@ -477,6 +539,7 @@ mod tests {
         set_enabled(false);
         add("x", 5);
         record_value("y", 1.0);
+        set_gauge("g", 1.0);
         let _s = span("z");
         decision(Decision {
             site: 0,
@@ -502,9 +565,13 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         record_value("v", 2.5);
+        set_gauge("g", 1.0);
+        set_gauge("g", 4.0);
         set_enabled(false);
         let snap = snapshot();
         assert_eq!(snap.counter("c"), 5);
+        assert_eq!(snap.gauge("g"), Some(4.0));
+        assert_eq!(snap.hist_sum("v"), 2.5);
         let s = snap.span("s").unwrap();
         assert_eq!(s.count, 1);
         assert!(s.total_ns >= 1_000_000, "span measured {} ns", s.total_ns);
@@ -580,12 +647,16 @@ mod tests {
         b.record_span_ns("s", 30);
         a.record_value("h", 1.0);
         b.record_value("h", 2.0);
+        a.set_gauge("g", 1.0);
+        b.set_gauge("g", 2.0);
         a.merge(&b);
         assert_eq!(a.counter("c"), 3);
         assert_eq!(a.counter("d"), 7);
         let s = a.span("s").unwrap();
         assert_eq!((s.count, s.total_ns), (2, 40));
         assert_eq!(a.hists()["h"].count(), 2);
-        assert_eq!(a.ops(), b.ops() + 4);
+        assert_eq!(a.hist_sum("h"), 3.0);
+        assert_eq!(a.gauge("g"), Some(2.0), "the merged-in write wins");
+        assert_eq!(a.ops(), b.ops() + 5);
     }
 }

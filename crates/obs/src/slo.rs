@@ -14,11 +14,16 @@
 //! suppress blips — and fires only when **both** exceed the threshold,
 //! which is the classic multi-window multi-burn-rate construction.
 //!
-//! Windows are ticks of the exposition clock ([`slo_tick`]), not wall
-//! seconds, so replayed (simulated-time) studies burn budget in the
-//! same units they publish metrics.
+//! Windows are ticks of the exposition clock ([`crate::tick`]), not
+//! wall seconds, so replayed (simulated-time) studies burn budget in
+//! the same units they publish metrics.
+//!
+//! A tracker keeps no counts of its own: it reads good and total from
+//! the registry histogram its spec names — total is the sample count,
+//! good is [`crate::Histogram::count_below`] the target, which adds exactly
+//! across merges of one layout — and differences them per tick.
 
-use crate::Histogram;
+use crate::Recorder;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Mutex, OnceLock};
 
@@ -33,6 +38,9 @@ const EVENT_CAP: usize = 256;
 pub struct SloSpec {
     /// Objective name, e.g. `serve.latency`.
     pub name: String,
+    /// Registry histogram whose samples the objective judges, e.g.
+    /// `serve.route.latency_s`.
+    pub histogram: String,
     /// A request answered within this many seconds is "good".
     pub latency_target_s: f64,
     /// Required good fraction, e.g. `0.999`.
@@ -46,11 +54,11 @@ pub struct SloSpec {
 }
 
 impl SloSpec {
-    /// Derives a spec from a QoS response-time bound: the bound becomes
-    /// the latency target (falling back to
-    /// [`DEFAULT_LATENCY_TARGET_S`] when unbounded), with a 99.9%
-    /// objective and a 6x two-window burn alert.
-    pub fn from_qos(name: &str, qos_bound_s: f64) -> SloSpec {
+    /// Derives a spec judging the samples of `histogram` from a QoS
+    /// response-time bound: the bound becomes the latency target
+    /// (falling back to [`DEFAULT_LATENCY_TARGET_S`] when unbounded),
+    /// with a 99.9% objective and a 6x two-window burn alert.
+    pub fn from_qos(name: &str, histogram: &str, qos_bound_s: f64) -> SloSpec {
         let latency_target_s = if qos_bound_s.is_finite() && qos_bound_s > 0.0 {
             qos_bound_s
         } else {
@@ -58,12 +66,20 @@ impl SloSpec {
         };
         SloSpec {
             name: name.to_owned(),
+            histogram: histogram.to_owned(),
             latency_target_s,
             objective: 0.999,
             short_windows: 6,
             long_windows: 36,
             burn_alert: 6.0,
         }
+    }
+
+    /// Cumulative (good, total) of the judged histogram in `sink`.
+    fn judged(&self, sink: &Recorder) -> (u64, u64) {
+        sink.hists().get(&self.histogram).map_or((0, 0), |h| {
+            (h.count_below(self.latency_target_s), h.count())
+        })
     }
 }
 
@@ -76,7 +92,7 @@ pub enum SloEventKind {
     Recovered,
 }
 
-/// A typed threshold-crossing event emitted by [`slo_tick`].
+/// A typed threshold-crossing event emitted by [`crate::tick`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct SloEvent {
     /// Name of the SLO that crossed.
@@ -114,29 +130,18 @@ pub struct SloStatus {
 
 struct Tracker {
     spec: SloSpec,
-    /// Good/total accumulated since the last tick (the open tick).
-    open: (u64, u64),
+    /// Cumulative (good, total) when the tracker was registered: it
+    /// judges only later samples.
+    base: (u64, u64),
+    /// Cumulative (good, total) at the last tick.
+    last: (u64, u64),
     /// Closed ticks, newest last, capped at `spec.long_windows`.
     ticks: VecDeque<(u64, u64)>,
-    cum_good: u64,
-    cum_total: u64,
     alerting: bool,
     alerts: u64,
 }
 
 impl Tracker {
-    fn new(spec: SloSpec) -> Tracker {
-        Tracker {
-            spec,
-            open: (0, 0),
-            ticks: VecDeque::new(),
-            cum_good: 0,
-            cum_total: 0,
-            alerting: false,
-            alerts: 0,
-        }
-    }
-
     /// Burn over the newest `windows` closed ticks. An empty window
     /// burns nothing: no traffic spends no budget.
     fn burn(&self, windows: usize) -> f64 {
@@ -166,55 +171,38 @@ fn state() -> &'static Mutex<SloState> {
     STATE.get_or_init(|| Mutex::new(SloState::default()))
 }
 
-/// Registers (or replaces, zeroing) an objective to track.
+/// Registers (or replaces, zeroing) an objective to track. It judges
+/// the samples its histogram receives from now on.
 pub fn register_slo(spec: SloSpec) {
+    let sink = crate::recorder::sink().lock().unwrap();
+    let base = spec.judged(&sink);
     let mut st = state().lock().unwrap();
-    let name = spec.name.clone();
-    st.trackers.insert(name, Tracker::new(spec));
-}
-
-/// Accumulates `good`-of-`total` outcomes into an SLO's open tick.
-/// No-ops when recording is disabled or the SLO is unregistered.
-#[inline]
-pub fn slo_record(name: &str, good: u64, total: u64) {
-    if !crate::enabled() || total == 0 {
-        return;
-    }
-    let mut st = state().lock().unwrap();
-    if let Some(t) = st.trackers.get_mut(name) {
-        t.open.0 += good.min(total);
-        t.open.1 += total;
-        t.cum_good += good.min(total);
-        t.cum_total += total;
-    }
-}
-
-/// Accumulates a latency batch: samples at or below the SLO's target
-/// bucket count as good (bucket-granular, like
-/// [`Histogram::count_below`]).
-#[inline]
-pub fn slo_record_latencies(name: &str, h: &Histogram) {
-    if !crate::enabled() || h.count() == 0 {
-        return;
-    }
-    let target = {
-        let st = state().lock().unwrap();
-        match st.trackers.get(name) {
-            Some(t) => t.spec.latency_target_s,
-            None => return,
-        }
-    };
-    slo_record(name, h.count_below(target), h.count());
+    st.trackers.insert(
+        spec.name.clone(),
+        Tracker {
+            spec,
+            base,
+            last: base,
+            ticks: VecDeque::new(),
+            alerting: false,
+            alerts: 0,
+        },
+    );
 }
 
 /// Closes the open tick on every tracker, recomputes both window burns,
-/// and emits [`SloEvent`]s on threshold crossings. Driven by the same
-/// exposition clock as [`crate::advance_windows`].
-pub fn slo_tick() {
+/// and emits [`SloEvent`]s on threshold crossings. Driven by
+/// [`crate::tick`] with the sink locked.
+pub(crate) fn tick(sink: &Recorder) {
     let mut st = state().lock().unwrap();
     let mut events = Vec::new();
     for t in st.trackers.values_mut() {
-        let closed = std::mem::take(&mut t.open);
+        let now = t.spec.judged(sink);
+        let closed = (
+            now.0.saturating_sub(t.last.0),
+            now.1.saturating_sub(t.last.1),
+        );
+        t.last = now;
         t.ticks.push_back(closed);
         while t.ticks.len() > t.spec.long_windows.max(1) {
             t.ticks.pop_front();
@@ -250,28 +238,32 @@ pub fn take_slo_events() -> Vec<SloEvent> {
     std::mem::take(&mut state().lock().unwrap().events)
 }
 
-/// Point-in-time statuses for every tracked SLO, name-sorted. The open
-/// tick is *not* included in the burns — they describe closed windows.
-pub fn slo_statuses() -> Vec<SloStatus> {
+/// Point-in-time statuses for every tracked SLO, name-sorted. Good and
+/// total count every sample published since registration, open tick
+/// included; the burns describe closed ticks only.
+pub(crate) fn statuses(sink: &Recorder) -> Vec<SloStatus> {
     let st = state().lock().unwrap();
     st.trackers
         .values()
-        .map(|t| SloStatus {
-            name: t.spec.name.clone(),
-            latency_target_s: t.spec.latency_target_s,
-            objective: t.spec.objective,
-            short_burn: t.burn(t.spec.short_windows),
-            long_burn: t.burn(t.spec.long_windows),
-            alerting: t.alerting,
-            alerts: t.alerts,
-            good: t.cum_good,
-            total: t.cum_total,
+        .map(|t| {
+            let now = t.spec.judged(sink);
+            SloStatus {
+                name: t.spec.name.clone(),
+                latency_target_s: t.spec.latency_target_s,
+                objective: t.spec.objective,
+                short_burn: t.burn(t.spec.short_windows),
+                long_burn: t.burn(t.spec.long_windows),
+                alerting: t.alerting,
+                alerts: t.alerts,
+                good: now.0.saturating_sub(t.base.0),
+                total: now.1.saturating_sub(t.base.1),
+            }
         })
         .collect()
 }
 
 /// Drops every tracker and pending event. Called by [`crate::reset`].
-pub fn reset_slo() {
+pub(crate) fn reset_slo() {
     let mut st = state().lock().unwrap();
     st.trackers.clear();
     st.events.clear();
@@ -280,10 +272,12 @@ pub fn reset_slo() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{gather, tick, Histogram};
 
     fn spec(short: usize, long: usize) -> SloSpec {
         SloSpec {
             name: "t.latency".into(),
+            histogram: "t.latency_s".into(),
             latency_target_s: 1.0,
             objective: 0.9,
             short_windows: short,
@@ -292,11 +286,30 @@ mod tests {
         }
     }
 
+    /// Publishes `good` samples inside the 1 s target and `bad` far
+    /// outside it into `hist`, flushed.
+    fn publish(hist: &'static str, good: u64, bad: u64) {
+        let mut h = Histogram::for_response_times();
+        for _ in 0..good {
+            h.record(0.5);
+        }
+        for _ in 0..bad {
+            h.record(50.0);
+        }
+        crate::merge_histogram(hist, &h, 0.5 * good as f64 + 50.0 * bad as f64);
+        crate::flush_thread();
+    }
+
+    fn slo_statuses() -> Vec<SloStatus> {
+        gather().slos
+    }
+
     #[test]
     fn from_qos_uses_the_bound_and_falls_back_when_unbounded() {
-        let s = SloSpec::from_qos("site.3", 2.5);
+        let s = SloSpec::from_qos("site.3", "h", 2.5);
         assert_eq!(s.latency_target_s, 2.5);
-        let s = SloSpec::from_qos("site.4", f64::INFINITY);
+        assert_eq!(s.histogram, "h");
+        let s = SloSpec::from_qos("site.4", "h", f64::INFINITY);
         assert_eq!(s.latency_target_s, DEFAULT_LATENCY_TARGET_S);
     }
 
@@ -308,8 +321,8 @@ mod tests {
         register_slo(spec(2, 4));
         // 85% good against a 90% objective: bad 0.15, budget 0.1 ->
         // burn 1.5, safely under the 2x alert threshold.
-        slo_record("t.latency", 85, 100);
-        slo_tick();
+        publish("t.latency_s", 85, 15);
+        tick(1.0);
         let st = &slo_statuses()[0];
         assert!(
             (st.short_burn - 1.5).abs() < 1e-9,
@@ -332,8 +345,8 @@ mod tests {
         // One catastrophic tick: short window (1 tick) burns hot, but
         // the long window still averages it with nothing else... with an
         // empty history the long window IS that tick, so both fire.
-        slo_record("t.latency", 0, 100);
-        slo_tick();
+        publish("t.latency_s", 0, 100);
+        tick(1.0);
         let events = take_slo_events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].kind, SloEventKind::BurnAlert);
@@ -341,10 +354,10 @@ mod tests {
         assert_eq!(slo_statuses()[0].alerts, 1);
         // Two clean ticks dilute the long window below 2x and clear the
         // short window entirely: recovery.
-        slo_record("t.latency", 100, 100);
-        slo_tick();
-        slo_record("t.latency", 100, 100);
-        slo_tick();
+        publish("t.latency_s", 100, 0);
+        tick(1.0);
+        publish("t.latency_s", 100, 0);
+        tick(1.0);
         let events = take_slo_events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].kind, SloEventKind::Recovered);
@@ -358,18 +371,18 @@ mod tests {
         let _g = crate::TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         crate::reset();
         crate::set_enabled(true);
+        // Samples published before registration are not judged.
+        publish("t.latency_s", 0, 5);
         register_slo(spec(2, 4));
-        slo_tick();
-        slo_tick();
+        tick(1.0);
+        tick(1.0);
         let st = &slo_statuses()[0];
         assert_eq!((st.short_burn, st.long_burn), (0.0, 0.0));
+        assert_eq!(st.total, 0);
 
-        let mut h = Histogram::for_response_times();
-        h.record(0.5); // within the 1s target
-        h.record(50.0); // far outside
-        slo_record_latencies("t.latency", &h);
-        slo_record_latencies("t.unregistered", &h); // silently dropped
-        slo_tick();
+        publish("t.latency_s", 1, 1);
+        publish("t.unjudged_s", 1, 1); // no tracker names it
+        tick(1.0);
         let st = &slo_statuses()[0];
         assert_eq!(st.total, 2);
         assert_eq!(st.good, 1);
@@ -383,8 +396,8 @@ mod tests {
         crate::reset();
         crate::set_enabled(false);
         register_slo(spec(2, 4));
-        slo_record("t.latency", 0, 100);
-        slo_tick();
+        publish("t.latency_s", 0, 100);
+        tick(1.0);
         let st = &slo_statuses()[0];
         assert_eq!(st.total, 0);
         assert_eq!(st.short_burn, 0.0);

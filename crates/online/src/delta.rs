@@ -267,14 +267,13 @@ impl DeltaPlanner {
             mmrepl_obs::add("replan.marks_flipped", report.marks_flipped as u64);
             // Churn spent vs budget: what the budget allowed through and
             // what it pushed to later replans.
-            mmrepl_obs::add("replan.churn_spent_bytes", report.bytes_migrated);
+            mmrepl_obs::add("online.migrated_bytes", report.bytes_migrated);
             mmrepl_obs::add("replan.churn_deferred_bytes", report.bytes_deferred);
             if let Some(limit) = budget.bytes_per_replan {
                 mmrepl_obs::add("replan.churn_budget_bytes", limit);
             }
-            // Live mirrors for the telemetry plane.
-            mmrepl_obs::counter_add("online.replans", 1);
-            mmrepl_obs::counter_add("online.migrated_bytes", report.bytes_migrated);
+            mmrepl_obs::add("online.replans", 1);
+            mmrepl_obs::flush_thread();
         }
         DeltaOutcome { report, migrations }
     }

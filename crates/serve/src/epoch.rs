@@ -41,8 +41,10 @@ impl<T> EpochCell<T> {
         // Dropping the last reference may free a whole snapshot; do it
         // after the write lock is released.
         drop(retired);
-        mmrepl_obs::add("serve.epoch_swaps", 1);
-        mmrepl_obs::counter_add("serve.epoch_swaps", 1);
+        if mmrepl_obs::enabled() {
+            mmrepl_obs::add("serve.epoch_swaps", 1);
+            mmrepl_obs::flush_thread();
+        }
     }
 
     /// Returns the currently published value.

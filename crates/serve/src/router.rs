@@ -251,9 +251,8 @@ impl Router {
 
     /// Routes a whole request slice under one `serve.route` span,
     /// returning the totals accumulated over the slice. When recording
-    /// is enabled the slice is published once into the live telemetry
-    /// plane (tier counters, latency reservoir, `serve.latency` SLO)
-    /// and the recorder's `serve.route.latency_s` histogram.
+    /// is enabled the slice is published once: tier counters and the
+    /// `serve.route.latency_s` histogram.
     pub fn route_all(&mut self, requests: &[Request]) -> RouteStats {
         let _span = mmrepl_obs::span("serve.route");
         let before = self.stats.clone();
@@ -292,9 +291,6 @@ impl Router {
                 return RouteTarget::Local;
             }
             out.overlay_deflected += 1;
-            if mmrepl_obs::enabled() {
-                mmrepl_obs::add("serve.overlay_hits", 1);
-            }
         }
         if !snap.node_lanes().is_empty() {
             let qos = snap.lane(self.from).qos;
@@ -363,33 +359,38 @@ impl Router {
     }
 }
 
-/// One routed slice's worth of live telemetry: tier counters, the
-/// sliding latency reservoir, the `serve.latency` SLO (a no-op unless
-/// [`register_latency_slo`] ran), and the recorder histogram the stage
-/// table's tail-latency footer reads. Only called on the enabled path.
+/// One routed slice's worth of telemetry, published once into the
+/// recorder and flushed so the live view sees it: the tier counters and
+/// the `serve.route.latency_s` histogram, which the stage table's
+/// tail-latency footer, the exposition's summary and the
+/// `serve.latency` SLO (see [`register_latency_slo`]) all read. Only
+/// called on the enabled path.
 fn publish_route_telemetry(delta: &RouteStats, latencies: &Histogram) {
-    mmrepl_obs::counter_add("serve.route.requests", delta.requests);
-    mmrepl_obs::counter_add("serve.route.objects", delta.objects);
-    mmrepl_obs::counter_add("serve.route.local", delta.local);
-    mmrepl_obs::counter_add("serve.route.peer", delta.peer);
-    mmrepl_obs::counter_add("serve.route.repo", delta.repo);
-    mmrepl_obs::counter_add("serve.route.overlay_deflected", delta.overlay_deflected);
-    mmrepl_obs::observe_hist("serve.route.latency_s", latencies, delta.est_latency_s);
-    mmrepl_obs::slo_record_latencies("serve.latency", latencies);
-    mmrepl_obs::merge_histogram("serve.route.latency_s", latencies);
+    mmrepl_obs::add("serve.route.requests", delta.requests);
+    mmrepl_obs::add("serve.route.objects", delta.objects);
+    mmrepl_obs::add("serve.route.local", delta.local);
+    mmrepl_obs::add("serve.route.peer", delta.peer);
+    mmrepl_obs::add("serve.route.repo", delta.repo);
+    mmrepl_obs::add("serve.route.overlay_deflected", delta.overlay_deflected);
+    mmrepl_obs::merge_histogram("serve.route.latency_s", latencies, delta.est_latency_s);
+    mmrepl_obs::flush_thread();
 }
 
 /// Registers the `serve.latency` SLO from the snapshot's QoS bounds:
 /// the tightest finite per-site bound becomes the latency target, with
 /// the default target when every bound is unbounded. Call once per
-/// study before routing starts; routers then feed the SLO from every
-/// slice they publish.
+/// study before routing starts; the SLO then judges every latency the
+/// routers publish into `serve.route.latency_s`.
 pub fn register_latency_slo(snap: &PlacementSnapshot) {
     let mut bound = f64::INFINITY;
     for s in 0..snap.n_sites() {
         bound = bound.min(snap.lane(SiteId::new(s as u32)).qos);
     }
-    mmrepl_obs::register_slo(mmrepl_obs::SloSpec::from_qos("serve.latency", bound));
+    mmrepl_obs::register_slo(mmrepl_obs::SloSpec::from_qos(
+        "serve.latency",
+        "serve.route.latency_s",
+        bound,
+    ));
 }
 
 /// Routes every site's trace against `snap` across `threads` workers

@@ -253,7 +253,8 @@ pub fn online_study(
                             .ids()
                             .map(|s| ctl.queue(s).pending_bytes())
                             .sum();
-                        mmrepl_obs::gauge_set("online.migration_queue_bytes", queued);
+                        mmrepl_obs::set_gauge("online.migration_queue_bytes", queued);
+                        mmrepl_obs::flush_thread();
                     }
                 }
 
@@ -272,7 +273,10 @@ pub fn online_study(
                     (s, pend)
                 }));
                 cell.publish(Arc::new(snap));
-                mmrepl_obs::gauge_set("online.epoch", epoch as f64);
+                if mmrepl_obs::enabled() {
+                    mmrepl_obs::set_gauge("online.epoch", epoch as f64);
+                    mmrepl_obs::flush_thread();
+                }
                 let (_, served) = route_traces(&cell.load(), &traces, 1);
                 let served_latency = served.est_latency_s / served.requests.max(1) as f64;
 

@@ -193,7 +193,11 @@ pub(crate) fn traced(run: impl FnOnce() -> ReplayOutcome) -> ReplayOutcome {
         // The replay hot loop records into its own `ResponseStats`; the
         // whole distribution folds into the trace with one merge, so
         // per-request cost stays zero.
-        mmrepl_obs::merge_histogram("replay.response_s", out.pages.histogram());
+        let sum = out
+            .pages
+            .mean()
+            .map_or(0.0, |m| m.get() * out.pages.count() as f64);
+        mmrepl_obs::merge_histogram("replay.response_s", out.pages.histogram(), sum);
         mmrepl_obs::add("replay.page_requests", out.pages.count());
         mmrepl_obs::add("replay.local_objects", out.local_objects);
         mmrepl_obs::add("replay.remote_objects", out.remote_objects);

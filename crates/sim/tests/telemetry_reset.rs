@@ -2,10 +2,10 @@
 //!
 //! Two sequential E-X5 (online study) invocations with recording
 //! enabled, a reset between them, must publish identical telemetry —
-//! if reset leaked time-series or SLO state the second run would start
+//! if reset leaked sink, window or SLO state the second run would start
 //! from the first run's totals. Lives in its own integration-test
 //! binary so no concurrently running unit test publishes into the
-//! global registry while recording is enabled.
+//! global sink while recording is enabled.
 
 use mmrepl_sim::{online_study, study_online_config, ExperimentConfig};
 
@@ -15,7 +15,8 @@ fn run_once() -> (mmrepl_obs::TsSnapshot, Vec<mmrepl_obs::SloStatus>) {
     cfg.runs = 1;
     online_study(&cfg, 1, 0.5, 2, 0.25, &study_online_config());
     mmrepl_obs::set_enabled(false);
-    (mmrepl_obs::ts_snapshot(), mmrepl_obs::slo_statuses())
+    let view = mmrepl_obs::gather();
+    (view.series, view.slos)
 }
 
 #[test]
@@ -29,10 +30,12 @@ fn reset_clears_timeseries_and_slo_state_between_studies() {
     assert_eq!(slo1.len(), 1, "serve.latency SLO registered");
     assert!(slo1[0].total > 0, "SLO judged no requests");
 
-    // Reset must leave a blank plane...
+    // Reset must leave a blank plane: every series back at zero...
     mmrepl_obs::reset();
-    assert!(mmrepl_obs::ts_snapshot().counters.is_empty());
-    assert!(mmrepl_obs::slo_statuses().is_empty());
+    let blank = mmrepl_obs::gather();
+    assert!(blank.series.counters.iter().all(|c| c.value == 0));
+    assert!(blank.series.reservoirs.iter().all(|r| r.count == 0));
+    assert!(blank.slos.is_empty());
 
     // ...so an identical second invocation reproduces the first run's
     // telemetry exactly instead of doubling it.

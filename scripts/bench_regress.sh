@@ -127,8 +127,8 @@ for scale, fresh_t in sorted(fresh["scales"].items()):
         print(f"  {scale}.{metric}: {old:.4f}{unit} -> {new:.4f}{unit} ({pct:+.1f}%) {verdict}")
 
 # Absolute gate on the disabled-path cost models: the obs calls one
-# traced plan makes (obs_overhead) and the time-series publications one
-# instrumented routing pass makes (telemetry_overhead), each priced at
+# traced plan makes (obs_overhead) and the recording calls one traced
+# routing pass makes (telemetry_overhead), each priced at
 # the measured disabled per-call cost, must stay under 2% of their
 # denominator.
 OBS_CAP = 0.02

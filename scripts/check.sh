@@ -211,6 +211,41 @@ print(f"  telemetry ok: {len(final)} samples parse, "
       f"{len(totals)} counters monotone across scrapes")
 EOF
 
+echo "==> one registry, two views (trace counters == exposition _total counters)"
+cargo run --offline -p mmrepl-cli --bin mmrepl -- \
+    negotiate --central 0.1 --runs 1 --seed 11 \
+    --out "$SMOKE_OUT/negotiate-views.json" \
+    --trace-out "$SMOKE_OUT/negotiate-views.jsonl" \
+    --expose "$SMOKE_OUT/negotiate-views.prom" --scrape-interval 0.05 >/dev/null
+python3 - "$SMOKE_OUT/negotiate-views.jsonl" "$SMOKE_OUT/negotiate-views.prom" <<'EOF'
+import json, re, sys
+
+counters = {l["name"]: l["value"] for l in map(json.loads, open(sys.argv[1]))
+            if l["record"] == "counter"}
+scrape = {}
+for line in open(sys.argv[2]):
+    if line.strip() and not line.startswith("#"):
+        name, value = line.rsplit(" ", 1)
+        scrape[name] = float(value)
+matched, bad = [], []
+for name, value in sorted(counters.items()):
+    total = "mmrepl_" + re.sub(r"[^A-Za-z0-9]", "_", name) + "_total"
+    if total in scrape:
+        matched.append(name)
+        if scrape[total] != value:
+            bad.append(f"{name}: trace {value}, scrape {scrape[total]:.0f}")
+if bad:
+    print(f"error: the two views disagree: {bad}", file=sys.stderr)
+    sys.exit(1)
+missing = {"negotiate.rounds", "netsim.bus.delivered"} - set(matched)
+if missing:
+    print(f"error: counters missing from one view: {sorted(missing)}",
+          file=sys.stderr)
+    sys.exit(1)
+print(f"  two views ok: {len(matched)} counters equal in the trace and the scrape "
+      f"(negotiate.rounds {counters['negotiate.rounds']})")
+EOF
+
 echo "==> router bench determinism (1-thread summary == 4-thread summary)"
 cargo run --release --offline -p mmrepl-bench --bin router -- \
     --quick --iters 1 --threads 1 --summary-only \
