@@ -11,7 +11,9 @@
 //! Candidates live in the same lazily-revalidated min-heap
 //! ([`crate::lazyheap`]) as storage restoration; flipping a slot only
 //! staleness-es the other slots of the same page, which the pop-time
-//! recheck fixes.
+//! recheck fixes. Keys and moves read the site's slot arenas and local
+//! mark counts ([`crate::state`]), never the system's page or object
+//! tables.
 
 use crate::lazyheap::LazyMinHeap;
 use crate::state::{SiteWork, SlotKind};
@@ -77,6 +79,7 @@ pub fn restore_capacity(work: &mut SiteWork<'_>) -> CapacityReport {
         SlotKind::Optional => work.partition(idx as usize).local_optional[slot as usize],
     };
 
+    let mut affected = Vec::new();
     while work.load() > capacity + EPS {
         let Some(cand) = heap.pop_current(|c| still_local(work, c), |c| ratio(work, c)) else {
             report.feasible = false;
@@ -85,29 +88,25 @@ pub fn restore_capacity(work: &mut SiteWork<'_>) -> CapacityReport {
         let (idx, slot, kind) = cand;
         let (idx, slot) = (idx as usize, slot as usize);
 
-        let object = match kind {
+        let (o, size) = match kind {
             SlotKind::Compulsory => {
-                let pid = work.pages()[idx];
-                let k = work.system().page(pid).compulsory[slot];
                 work.set_compulsory(idx, slot, false);
-                k
+                work.comp_slot(idx, slot)
             }
             SlotKind::Optional => {
-                let pid = work.pages()[idx];
-                let k = work.system().page(pid).optional[slot].object;
                 work.set_optional(idx, slot, false);
-                k
+                let (o, size, _, _) = work.opt_slot(idx, slot);
+                (o, size)
             }
         };
         report.moves += 1;
 
         // "If through this process an object is marked in all the pages as
         // not to be downloaded locally, we deallocate it."
-        if work.marks_on(object) == 0 && work.is_stored(object) {
-            let freed = work.system().object_size(object).get();
-            work.dealloc(object);
+        if work.marks_on_local(o) == 0 && work.is_stored_local(o) {
+            work.dealloc_local_into(o, &mut affected);
             report.deallocated += 1;
-            report.bytes_freed += freed;
+            report.bytes_freed += size.get();
         }
     }
 
@@ -119,39 +118,36 @@ pub fn restore_capacity(work: &mut SiteWork<'_>) -> CapacityReport {
 }
 
 /// The greedy key: objective damage per request/second of load freed.
+/// Reads the site's slot arenas only.
 fn ratio(work: &SiteWork<'_>, (idx, slot, kind): Candidate) -> f64 {
     let (idx, slot) = (idx as usize, slot as usize);
-    let pid = work.pages()[idx];
-    let page = work.system().page(pid);
-    let freq = page.freq.get();
+    let freq = work.freq(idx);
     // Moving the object's *last* local mark lets the dealloc that follows
     // also shed its refresh load (zero unless update accounting is on).
-    let orphan_bonus = |object| {
-        if work.marks_on(object) == 1 {
-            work.update_rate_of(object)
+    let orphan_bonus = |o| {
+        if work.marks_on_local(o) == 1 {
+            work.update_rate_local(o)
         } else {
             0.0
         }
     };
     match kind {
         SlotKind::Compulsory => {
-            let object = page.compulsory[slot];
-            let size = work.system().object_size(object);
+            let (o, size) = work.comp_slot(idx, slot);
             let before = work.streams(idx).response(work.params());
             let after = work.streams(idx).response_if_remote(size, work.params());
             let delta_d = freq * work.alpha1() * (after - before);
-            let delta_load = freq + orphan_bonus(object);
+            let delta_load = freq + orphan_bonus(o);
             delta_d / delta_load.max(f64::MIN_POSITIVE)
         }
         SlotKind::Optional => {
-            let oref = page.optional[slot];
-            let size = work.system().object_size(oref.object);
+            let (o, size, prob, load) = work.opt_slot(idx, slot);
             let delta_d = freq
                 * work.alpha2()
                 * work
                     .optional_cost(idx)
-                    .delta_if_flipped(oref.prob, size, false, work.params());
-            let delta_load = freq * page.opt_req_factor * oref.prob + orphan_bonus(oref.object);
+                    .delta_if_flipped(prob, size, false, work.params());
+            let delta_load = load + orphan_bonus(o);
             delta_d / delta_load.max(f64::MIN_POSITIVE)
         }
     }

@@ -361,17 +361,20 @@ impl ReplicationPolicy {
             }
             let mut pops = 0u64;
             let (mut dealloc, mut orphaned, mut repart, mut freed) = (0u64, 0u64, 0u64, 0u64);
+            let mut repart_calls = 0u64;
             for st in &storage {
                 pops += st.heap_pops;
                 dealloc += st.deallocated as u64;
                 orphaned += st.orphaned as u64;
                 repart += st.repartitioned as u64;
+                repart_calls += st.repartition_calls;
                 freed += st.bytes_freed;
             }
             mmrepl_obs::add("storage.heap_pops", pops);
             mmrepl_obs::add("storage.deallocated", dealloc);
             mmrepl_obs::add("storage.orphaned", orphaned);
             mmrepl_obs::add("storage.repartitioned", repart);
+            mmrepl_obs::add("storage.repartition_calls", repart_calls);
             mmrepl_obs::add("storage.bytes_freed", freed);
             let mut pops = 0u64;
             let (mut moves, mut dealloc, mut freed) = (0u64, 0u64, 0u64);

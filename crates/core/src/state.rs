@@ -14,10 +14,23 @@
 //! this site's pages reference, in ascending id order. Membership lives in
 //! a flat [`DenseBits`] word bitset, slot→object resolution in CSR-style
 //! arenas built once at construction (forward: page slot → local index,
-//! size, fetch-win; reverse: local index → `(page, slot)` references).
-//! Nothing in the hot flip/dealloc/repartition loops is sized by — or even
-//! looks at — the global object universe, which is what lets a thousand
-//! `SiteWork`s coexist at 100x scale without blowing caches or memory.
+//! size, fetch-win, serving load; reverse: local index → `(page, slot)`
+//! references).
+//!
+//! The build assigns local indices without sorting the reference list: it
+//! marks every referenced id in a transient bitset over the object
+//! universe, whose set bits in order are the local objects, and resolves
+//! each slot's local index as the rank of its id ([`DenseBits::rank`],
+//! O(1) through a per-word popcount prefix). That bitset and its ranks are
+//! dropped before the constructor returns: nothing sized by the global
+//! object universe outlives construction, and nothing in the hot
+//! flip/dealloc/repartition loops looks at it. That is what lets a
+//! thousand `SiteWork`s coexist at 100x scale without blowing caches or
+//! memory.
+//!
+//! The restoration loops work on local indices throughout (the storage
+//! heap, capacity moves, deallocations); the `ObjectId`-keyed public
+//! methods are thin wrappers that resolve the id by binary search first.
 //!
 //! Invariant maintained throughout: **a mark can be local only if its
 //! object is in the site's store**, and the store is exactly the set of
@@ -134,11 +147,12 @@ pub struct SiteWork<'a> {
     /// Reusable scratch for [`SiteWork::dealloc`]'s ref walk (the flips
     /// need `&mut self` while the CSR slice borrows `&self`).
     scratch_refs: Vec<(u32, u32)>,
-    /// Reusable scratch rows for [`SiteWork::repartition_page`].
+    /// Reusable scratch for [`SiteWork::repartition_page`]: the greedy's
+    /// compulsory marks, then the compulsory and optional slots whose
+    /// candidate mark differs from the current one (slot order).
     scratch_marks: Vec<bool>,
-    scratch_opt: Vec<bool>,
-    scratch_old_comp: Vec<bool>,
-    scratch_old_opt: Vec<bool>,
+    scratch_comp_flips: Vec<u32>,
+    scratch_opt_flips: Vec<u32>,
 }
 
 impl<'a> SiteWork<'a> {
@@ -180,22 +194,29 @@ impl<'a> SiteWork<'a> {
         let pages: Vec<PageId> = sys.pages_of(site).to_vec();
 
         // Pass A — the site-local dense object index: every object some
-        // local page references, ascending by id. Sort+dedup of the raw
-        // reference list assigns exactly the ids a global-mask scan would,
-        // without ever allocating anything sized by the global universe.
-        let mut local_objects: Vec<ObjectId> = Vec::new();
+        // local page references, ascending by id. The referenced ids are
+        // marked in a transient bitset over the id space; its set bits in
+        // order are the local objects, and a slot's local index is the
+        // rank of its id. The bitset and its ranks die with this call.
+        let mut referenced = DenseBits::zeros(sys.n_objects());
         let mut n_comp_slots = 0usize;
         let mut n_opt_slots = 0usize;
         for &pid in &pages {
             let page = sys.page(pid);
             n_comp_slots += page.compulsory.len();
             n_opt_slots += page.optional.len();
-            local_objects.extend_from_slice(&page.compulsory);
-            local_objects.extend(page.optional.iter().map(|o| o.object));
+            for &k in &page.compulsory {
+                referenced.set(k.index());
+            }
+            for r in &page.optional {
+                referenced.set(r.object.index());
+            }
         }
-        local_objects.sort_unstable();
-        local_objects.dedup();
-        let n_local = local_objects.len();
+        let ranks = referenced.word_ranks();
+        let local_index = |k: ObjectId| referenced.rank(&ranks, k.index()) as u32;
+        let n_local = referenced.count_ones();
+        let mut local_objects: Vec<ObjectId> = Vec::with_capacity(n_local);
+        local_objects.extend(referenced.iter_ones().map(|i| ObjectId::new(i as u32)));
 
         // Pass B — forward arenas (slot → local index, size, probability,
         // fetch pricing) and reverse-CSR counts.
@@ -216,17 +237,13 @@ impl<'a> SiteWork<'a> {
             let page = sys.page(pid);
             let f = page.freq.get();
             for &k in &page.compulsory {
-                let o = local_objects
-                    .binary_search(&k)
-                    .expect("reference missed by index build") as u32;
+                let o = local_index(k);
                 comp_slot_lobj.push(o);
                 comp_slot_size.push(sys.object_size(k));
                 comp_off[o as usize + 1] += 1;
             }
             for r in &page.optional {
-                let o = local_objects
-                    .binary_search(&r.object)
-                    .expect("reference missed by index build") as u32;
+                let o = local_index(r.object);
                 let size = sys.object_size(r.object);
                 opt_slot_lobj.push(o);
                 opt_slot_size.push(size);
@@ -392,9 +409,8 @@ impl<'a> SiteWork<'a> {
             zero_marks: Vec::new(),
             scratch_refs: Vec::new(),
             scratch_marks: Vec::new(),
-            scratch_opt: Vec::new(),
-            scratch_old_comp: Vec::new(),
-            scratch_old_opt: Vec::new(),
+            scratch_comp_flips: Vec::new(),
+            scratch_opt_flips: Vec::new(),
         }
     }
 
@@ -416,18 +432,15 @@ impl<'a> SiteWork<'a> {
         &self.opt_dat[self.opt_off[o] as usize..self.opt_off[o + 1] as usize]
     }
 
-    /// Removes `object` from the store (local bit or foreign list),
-    /// returning whether it was present.
-    fn store_remove(&mut self, object: ObjectId) -> bool {
-        match self.local_of(object) {
-            Some(o) => self.store.clear(o),
-            None => match self.foreign.binary_search(&object) {
-                Ok(pos) => {
-                    self.foreign.remove(pos);
-                    true
-                }
-                Err(_) => false,
-            },
+    /// Removes `object` from the foreign list, returning whether it was
+    /// there.
+    fn foreign_remove(&mut self, object: ObjectId) -> bool {
+        match self.foreign.binary_search(&object) {
+            Ok(pos) => {
+                self.foreign.remove(pos);
+                true
+            }
+            Err(_) => false,
         }
     }
 
@@ -562,7 +575,7 @@ impl<'a> SiteWork<'a> {
 
     /// Number of local marks currently on `object`.
     pub fn marks_on(&self, object: ObjectId) -> u32 {
-        self.local_of(object).map_or(0, |o| self.mark_count[o])
+        self.local_of(object).map_or(0, |o| self.marks_on_local(o))
     }
 
     /// The stored objects in ascending id order.
@@ -650,6 +663,31 @@ impl<'a> SiteWork<'a> {
     #[inline]
     pub(crate) fn is_stored_local(&self, o: usize) -> bool {
         self.store.get(o)
+    }
+
+    /// The stored local objects, ascending (local-index order is id
+    /// order). Foreign objects are not included.
+    pub(crate) fn stored_locals(&self) -> impl Iterator<Item = usize> + '_ {
+        self.store.iter_ones()
+    }
+
+    /// Whether stored objects no local page references exist (possible
+    /// only between a markless [`SiteWork::alloc`] and the next
+    /// [`SiteWork::drop_orphans`]).
+    pub(crate) fn has_foreign(&self) -> bool {
+        !self.foreign.is_empty()
+    }
+
+    /// [`SiteWork::marks_on`] for local object `o`.
+    #[inline]
+    pub(crate) fn marks_on_local(&self, o: usize) -> u32 {
+        self.mark_count[o]
+    }
+
+    /// The size of local object `o`.
+    #[inline]
+    pub(crate) fn object_size_local(&self, o: usize) -> Bytes {
+        self.sys.object_size(self.local_objects[o])
     }
 
     /// [`SiteWork::update_rate_of`] for local object `o`.
@@ -770,10 +808,13 @@ impl<'a> SiteWork<'a> {
     /// The objective increase if `object` were deallocated right now
     /// (every local mark on it flipped remote). Non-mutating; exact.
     pub fn delta_d_dealloc(&self, object: ObjectId) -> f64 {
-        let Some(o) = self.local_of(object) else {
-            return 0.0;
-        };
-        let size = self.sys.object_size(object);
+        self.local_of(object)
+            .map_or(0.0, |o| self.delta_d_dealloc_local(o))
+    }
+
+    /// [`SiteWork::delta_d_dealloc`] of local object `o`.
+    pub(crate) fn delta_d_dealloc_local(&self, o: usize) -> f64 {
+        let size = self.object_size_local(o);
         let mut delta = 0.0;
         for &(idx, slot) in self.comp_refs_local(o) {
             let (idx, slot) = (idx as usize, slot as usize);
@@ -800,50 +841,54 @@ impl<'a> SiteWork<'a> {
     /// partition changed (candidates for re-partitioning).
     pub fn dealloc(&mut self, object: ObjectId) -> Vec<usize> {
         let mut affected = Vec::new();
-        self.dealloc_into(object, &mut affected);
+        match self.local_of(object) {
+            Some(o) => self.dealloc_local_into(o, &mut affected),
+            None => {
+                if self.foreign_remove(object) {
+                    self.stored_bytes -= self.sys.object_size(object).get();
+                    if self.count_updates {
+                        self.update_load -= self.sys.object(object).update_rate;
+                    }
+                }
+            }
+        }
         affected
     }
 
-    /// [`SiteWork::dealloc`] into a caller-owned buffer (cleared first), so
-    /// the restoration loop reuses one allocation across thousands of
-    /// deallocations.
-    pub fn dealloc_into(&mut self, object: ObjectId, affected: &mut Vec<usize>) {
+    /// [`SiteWork::dealloc`] of local object `o`, into a caller-owned
+    /// buffer (cleared first) so the restoration loops reuse one
+    /// allocation across thousands of deallocations.
+    pub(crate) fn dealloc_local_into(&mut self, o: usize, affected: &mut Vec<usize>) {
         affected.clear();
-        if let Some(o) = self.local_of(object) {
-            // The flips below need `&mut self` while the CSR rows borrow
-            // `&self`, so stage the rows through a reusable scratch buffer.
-            let mut refs = std::mem::take(&mut self.scratch_refs);
-            refs.clear();
-            refs.extend_from_slice(self.comp_refs_local(o));
-            for &(idx, slot) in &refs {
-                let (idx, slot) = (idx as usize, slot as usize);
-                if self.parts[idx].local_compulsory[slot] {
-                    self.set_compulsory(idx, slot, false);
-                    affected.push(idx);
-                }
+        // The flips below need `&mut self` while the CSR rows borrow
+        // `&self`, so stage the rows through a reusable scratch buffer.
+        let mut refs = std::mem::take(&mut self.scratch_refs);
+        refs.clear();
+        refs.extend_from_slice(self.comp_refs_local(o));
+        for &(idx, slot) in &refs {
+            let (idx, slot) = (idx as usize, slot as usize);
+            if self.parts[idx].local_compulsory[slot] {
+                self.set_compulsory(idx, slot, false);
+                affected.push(idx);
             }
-            refs.clear();
-            refs.extend_from_slice(self.opt_refs_local(o));
-            for &(idx, slot) in &refs {
-                let (idx, slot) = (idx as usize, slot as usize);
-                if self.parts[idx].local_optional[slot] {
-                    self.set_optional(idx, slot, false);
-                }
+        }
+        refs.clear();
+        refs.extend_from_slice(self.opt_refs_local(o));
+        for &(idx, slot) in &refs {
+            let (idx, slot) = (idx as usize, slot as usize);
+            if self.parts[idx].local_optional[slot] {
+                self.set_optional(idx, slot, false);
             }
-            self.scratch_refs = refs;
-            if self.store.clear(o) {
-                self.stored_bytes -= self.sys.object_size(object).get();
-                if self.count_updates {
-                    self.update_load -= self.sys.object(object).update_rate;
-                }
-            }
-        } else if self.store_remove(object) {
+        }
+        self.scratch_refs = refs;
+        if self.store.clear(o) {
+            let object = self.local_objects[o];
             self.stored_bytes -= self.sys.object_size(object).get();
             if self.count_updates {
                 self.update_load -= self.sys.object(object).update_rate;
             }
         }
-        debug_assert_eq!(self.marks_on(object), 0);
+        debug_assert_eq!(self.mark_count[o], 0);
     }
 
     /// Removes stored objects that no longer carry any local mark,
@@ -860,7 +905,7 @@ impl<'a> SiteWork<'a> {
         for k in worklist.drain(..) {
             let removed = match self.local_of(k) {
                 Some(o) => self.mark_count[o] == 0 && self.store.clear(o),
-                None => self.store_remove(k),
+                None => self.foreign_remove(k),
             };
             if !removed {
                 continue;
@@ -881,91 +926,165 @@ impl<'a> SiteWork<'a> {
     /// re-balanced in decreasing size order (the paper's post-deallocation
     /// adjustment). The new assignment is applied only if it improves the
     /// page's objective contribution. Returns whether anything changed.
+    ///
+    /// The candidate is priced without touching the page: its streams are
+    /// integer byte sums and its optional cost is the current one advanced
+    /// by the differing slots' flips. A rejected candidate writes back only
+    /// the float state (`load` and the page's optional cost), each advanced
+    /// through the apply-then-revert sequence a trial write would have run,
+    /// so the result is bit-identical to applying and reverting it.
     pub fn repartition_page(&mut self, idx: usize) -> bool {
         let base = self.comp_slot_off[idx] as usize;
         let cend = self.comp_slot_off[idx + 1] as usize;
         let obase = self.opt_slot_off[idx] as usize;
         let oend = self.opt_slot_off[idx + 1] as usize;
+        let p = self.params;
 
         let mut new_marks = std::mem::take(&mut self.scratch_marks);
-        let mut new_opt = std::mem::take(&mut self.scratch_opt);
         new_marks.clear();
         new_marks.resize(cend - base, false);
-        new_opt.clear();
-        {
-            let p = &self.params;
 
-            // Fixed-remote payload: every unstored compulsory slot.
-            let mut fixed_remote_bytes = 0u64;
-            for s in base..cend {
-                if !self.store.get(self.comp_slot_lobj[s] as usize) {
-                    fixed_remote_bytes += self.comp_slot_size[s].get();
-                }
+        // Fixed-remote payload: every unstored compulsory slot.
+        let html = self.sys.page(self.pages[idx]).html_size;
+        let mut cand = Streams::all_local_base(html);
+        for s in base..cend {
+            if !self.store.get(self.comp_slot_lobj[s] as usize) {
+                cand.remote_bytes += self.comp_slot_size[s].get();
+                cand.n_remote += 1;
             }
-
-            // Verbatim greedy over the precomputed (size desc, slot asc)
-            // order, skipping unstored slots — the same candidate sequence
-            // the per-call sort used to produce — with the fixed-remote
-            // payload pre-charged.
-            let html = self.sys.page(self.pages[idx]).html_size;
-            let mut local = p.local_ovhd + html.get() as f64 / p.local_rate;
-            let mut remote = p.repo_ovhd + fixed_remote_bytes as f64 / p.repo_rate;
-            for &s in &self.comp_slot_ord[base..cend] {
-                let s = s as usize;
-                if !self.store.get(self.comp_slot_lobj[s] as usize) {
-                    continue;
-                }
-                let size = self.comp_slot_size[s].get() as f64;
-                let local_if = local + size / p.local_rate;
-                let remote_if = remote + size / p.repo_rate;
-                if remote_if < local_if {
-                    remote = remote_if;
-                } else {
-                    local = local_if;
-                    new_marks[s - base] = true;
-                }
-            }
-
-            // Optional slots: local iff stored and the standalone fetch
-            // wins (precomputed per slot).
-            new_opt.extend(
-                (obase..oend).map(|s| {
-                    self.store.get(self.opt_slot_lobj[s] as usize) && self.opt_slot_wins[s]
-                }),
-            );
         }
 
-        // Apply tentatively through the bookkeeping and keep iff better.
-        let before = self.page_d(idx);
-        let mut old_comp = std::mem::take(&mut self.scratch_old_comp);
-        let mut old_opt = std::mem::take(&mut self.scratch_old_opt);
-        old_comp.clear();
-        old_comp.extend_from_slice(&self.parts[idx].local_compulsory);
-        old_opt.clear();
-        old_opt.extend_from_slice(&self.parts[idx].local_optional);
-        for (slot, &mark) in new_marks.iter().enumerate() {
-            self.set_compulsory(idx, slot, mark);
-        }
-        for (slot, &mark) in new_opt.iter().enumerate() {
-            self.set_optional(idx, slot, mark);
-        }
-        let after = self.page_d(idx);
-        let changed = if after < before - 1e-12 {
-            true
-        } else {
-            for (slot, &mark) in old_comp.iter().enumerate() {
-                self.set_compulsory(idx, slot, mark);
+        // Verbatim greedy over the precomputed (size desc, slot asc)
+        // order, skipping unstored slots, with the fixed-remote payload
+        // pre-charged. The byte sums beside the float times are the
+        // candidate's streams.
+        let mut local = p.local_ovhd + html.get() as f64 / p.local_rate;
+        let mut remote = p.repo_ovhd + cand.remote_bytes as f64 / p.repo_rate;
+        for &s in &self.comp_slot_ord[base..cend] {
+            let s = s as usize;
+            if !self.store.get(self.comp_slot_lobj[s] as usize) {
+                continue;
             }
-            for (slot, &mark) in old_opt.iter().enumerate() {
-                self.set_optional(idx, slot, mark);
+            let bytes = self.comp_slot_size[s].get();
+            let size = bytes as f64;
+            let local_if = local + size / p.local_rate;
+            let remote_if = remote + size / p.repo_rate;
+            if remote_if < local_if {
+                remote = remote_if;
+                cand.remote_bytes += bytes;
+                cand.n_remote += 1;
+            } else {
+                local = local_if;
+                cand.local_bytes += bytes;
+                new_marks[s - base] = true;
             }
+        }
+
+        // The slots whose mark would flip, in slot order. Optional slots
+        // are local iff stored and the standalone fetch wins (precomputed
+        // per slot).
+        let mut comp_flips = std::mem::take(&mut self.scratch_comp_flips);
+        let mut opt_flips = std::mem::take(&mut self.scratch_opt_flips);
+        comp_flips.clear();
+        opt_flips.clear();
+        let part = &self.parts[idx];
+        comp_flips.extend(
+            (0..cend - base)
+                .filter(|&slot| new_marks[slot] != part.local_compulsory[slot])
+                .map(|slot| slot as u32),
+        );
+        opt_flips.extend(
+            (obase..oend)
+                .filter(|&s| {
+                    let new =
+                        self.store.get(self.opt_slot_lobj[s] as usize) && self.opt_slot_wins[s];
+                    new != part.local_optional[s - obase]
+                })
+                .map(|s| (s - obase) as u32),
+        );
+
+        let changed = if comp_flips.is_empty() && opt_flips.is_empty() {
             false
+        } else {
+            let mut oc = self.opt_cost[idx].clone();
+            for &slot in &opt_flips {
+                let s = obase + slot as usize;
+                let now_local = !part.local_optional[slot as usize];
+                oc.flip(self.opt_slot_prob[s], self.opt_slot_size[s], now_local, &p);
+            }
+            let before = self.page_d(idx);
+            let after =
+                self.freq[idx] * (self.alpha1 * cand.response(&p) + self.alpha2 * oc.time());
+            if after < before - 1e-12 {
+                for &slot in &comp_flips {
+                    let slot = slot as usize;
+                    let mark = !self.parts[idx].local_compulsory[slot];
+                    self.set_compulsory(idx, slot, mark);
+                }
+                for &slot in &opt_flips {
+                    let slot = slot as usize;
+                    let mark = !self.parts[idx].local_optional[slot];
+                    self.set_optional(idx, slot, mark);
+                }
+                true
+            } else {
+                self.replay_rejected(idx, &comp_flips, &opt_flips, oc);
+                false
+            }
         };
         self.scratch_marks = new_marks;
-        self.scratch_opt = new_opt;
-        self.scratch_old_comp = old_comp;
-        self.scratch_old_opt = old_opt;
+        self.scratch_comp_flips = comp_flips;
+        self.scratch_opt_flips = opt_flips;
         changed
+    }
+
+    /// The float state a rejected repartition candidate leaves behind.
+    /// Writing the candidate's flips and then the old marks back
+    /// round-trips the streams, mark counts and partition exactly, but
+    /// not `load` (`x + f - f` need not be `x`) nor the optional cost. So
+    /// both run that same sequence: compulsory flips, optional flips, then
+    /// both reverted, each in slot order. `oc` is the optional cost with
+    /// the candidate's flips already applied.
+    fn replay_rejected(
+        &mut self,
+        idx: usize,
+        comp_flips: &[u32],
+        opt_flips: &[u32],
+        mut oc: OptionalCost,
+    ) {
+        let obase = self.opt_slot_off[idx] as usize;
+        let part = &self.parts[idx];
+        let f = self.freq[idx];
+        let mut load = self.load;
+        for revert in [false, true] {
+            for &slot in comp_flips {
+                if part.local_compulsory[slot as usize] == revert {
+                    load += f;
+                } else {
+                    load -= f;
+                }
+            }
+            for &slot in opt_flips {
+                let s = obase + slot as usize;
+                let w = self.opt_slot_load[s];
+                let was_local = part.local_optional[slot as usize];
+                if was_local == revert {
+                    load += w;
+                } else {
+                    load -= w;
+                }
+                if revert {
+                    oc.flip(
+                        self.opt_slot_prob[s],
+                        self.opt_slot_size[s],
+                        was_local,
+                        &self.params,
+                    );
+                }
+            }
+        }
+        self.load = load;
+        self.opt_cost[idx] = oc;
     }
 
     /// Extracts the final partitions as `(page, partition)` pairs.

@@ -14,11 +14,21 @@
 //! so each pop re-computes the candidate's current delta and re-inserts it
 //! unless it is still at least as good as the next-best key. With ~4,500
 //! stored objects per site and a handful of references each, restoration
-//! is near-linear in the number of deallocations.
+//! is near-linear in the number of deallocations. The heap holds site-local
+//! object indices ([`crate::state`]), whose order is id order, so no pop,
+//! validity check or re-key resolves an id.
+//!
+//! Re-partitioning an affected page ([`SiteWork::repartition_page`]) prices
+//! the greedy candidate without writing it: the candidate's streams are
+//! integer byte sums and its optional cost is a copy advanced by the
+//! differing slots' flips. Only a winning candidate is applied. A losing
+//! one leaves the page as it was, except that `load` and the page's
+//! optional cost are advanced through the same apply-then-revert float
+//! sequence a trial write would have run, so every later key and the
+//! capacity stage's feasibility test see the bits they always saw.
 
 use crate::lazyheap::LazyMinHeap;
 use crate::state::SiteWork;
-use mmrepl_model::ObjectId;
 use serde::{Deserialize, Serialize};
 
 /// The greedy deallocation criterion (A2 ablation).
@@ -42,6 +52,10 @@ pub struct StorageReport {
     pub orphaned: usize,
     /// Pages whose partition improved after a deallocation.
     pub repartitioned: usize,
+    /// Re-partitioning attempts, kept or not: one per page that lost a
+    /// local download to a deallocation.
+    #[serde(default)]
+    pub repartition_calls: u64,
     /// Bytes freed in total.
     pub bytes_freed: u64,
     /// Raw candidate-heap pops, including dead/stale entries the lazy
@@ -77,31 +91,39 @@ pub fn restore_storage_with(work: &mut SiteWork<'_>, criterion: DeallocCriterion
         report.bytes_freed += freed;
     }
 
-    // Min-heap of (criterion key, object). Lazy revalidation on pop:
+    // Every markless `alloc` queued its object for `drop_orphans`, which
+    // just dropped them all: the store is now local objects only, so the
+    // heap can key by local index (ascending like the ids it stands for,
+    // so ties break as they would by id).
+    debug_assert!(!work.has_foreign());
+
+    // Min-heap of (criterion key, local object). Lazy revalidation on pop:
     // entries whose object was orphaned meanwhile are dead, entries whose
     // delta grew are re-keyed.
-    let mut heap: LazyMinHeap<ObjectId> = LazyMinHeap::from_entries(
-        work.stored_objects()
-            .into_iter()
-            .map(|k| (dealloc_key(work, k, criterion), k)),
+    let mut heap: LazyMinHeap<u32> = LazyMinHeap::from_entries(
+        work.stored_locals()
+            .map(|o| (dealloc_key(work, o, criterion), o as u32)),
     );
 
     let mut affected = Vec::new();
     while work.storage_used() > capacity {
-        let Some(object) =
-            heap.pop_current(|k| work.is_stored(k), |k| dealloc_key(work, k, criterion))
-        else {
+        let Some(o) = heap.pop_current(
+            |o| work.is_stored_local(o as usize),
+            |o| dealloc_key(work, o as usize, criterion),
+        ) else {
             // Store is empty but HTML alone overflows: infeasible.
             report.feasible = false;
             break;
         };
 
-        let size = work.system().object_size(object).get();
-        work.dealloc_into(object, &mut affected);
+        let o = o as usize;
+        let size = work.object_size_local(o).get();
+        work.dealloc_local_into(o, &mut affected);
         report.deallocated += 1;
         report.bytes_freed += size;
 
         // Let the pages that lost a local download re-balance.
+        report.repartition_calls += affected.len() as u64;
         for &idx in &affected {
             if work.repartition_page(idx) {
                 report.repartitioned += 1;
@@ -122,13 +144,11 @@ pub fn restore_storage_with(work: &mut SiteWork<'_>, criterion: DeallocCriterion
     report
 }
 
-/// The greedy key under the chosen criterion.
-fn dealloc_key(work: &SiteWork<'_>, object: ObjectId, criterion: DeallocCriterion) -> f64 {
-    let delta = work.delta_d_dealloc(object);
+/// The greedy key of local object `o` under the chosen criterion.
+fn dealloc_key(work: &SiteWork<'_>, o: usize, criterion: DeallocCriterion) -> f64 {
+    let delta = work.delta_d_dealloc_local(o);
     match criterion {
-        DeallocCriterion::AmortizedOverSize => {
-            delta / work.system().object_size(object).get() as f64
-        }
+        DeallocCriterion::AmortizedOverSize => delta / work.object_size_local(o).get() as f64,
         DeallocCriterion::RawDelta => delta,
     }
 }

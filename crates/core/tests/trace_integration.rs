@@ -52,6 +52,10 @@ fn every_planner_stage_lands_in_the_trace() {
     // Stage counters: the squeeze forces real restoration work.
     assert!(trace.counter("storage.heap_pops") > 0);
     assert!(trace.counter("storage.deallocated") > 0);
+    // Every kept re-partition was an attempt first.
+    let calls = trace.counter("storage.repartition_calls");
+    assert!(calls > 0);
+    assert!(calls >= trace.counter("storage.repartitioned"));
     // Capacity restoration may be a no-op at this squeeze, but its
     // counters are always stamped.
     assert!(trace.counters().contains_key("capacity.moves"));

@@ -195,10 +195,36 @@ impl Placement {
 
     /// Eq. 10 left-hand side: HTML bytes of hosted pages plus bytes of all
     /// locally stored objects at `site`.
+    ///
+    /// Work is proportional to the site's references: each marked object's
+    /// size is added the first time a word bitset sees it (an exact integer
+    /// sum). The object universe is never scanned; its only cost is zeroing
+    /// that bitset, one bit per object.
     pub fn storage_used(&self, system: &System, site: SiteId) -> Bytes {
-        let stored = self.stored_set(system, site);
-        let objects: Bytes = stored.iter().map(|k| system.object_size(k)).sum();
-        objects + system.html_bytes_of(site)
+        let mut seen = vec![0u64; system.n_objects().div_ceil(64)];
+        let mut objects = 0u64;
+        let mut add = |k: ObjectId| {
+            let (word, bit) = (k.index() >> 6, 1u64 << (k.index() & 63));
+            if seen[word] & bit == 0 {
+                seen[word] |= bit;
+                objects += system.object_size(k).get();
+            }
+        };
+        for &p in system.pages_of(site) {
+            let page = system.page(p);
+            let part = &self.partitions[p];
+            for (&k, &local) in page.compulsory.iter().zip(&part.local_compulsory) {
+                if local {
+                    add(k);
+                }
+            }
+            for (o, &local) in page.optional.iter().zip(&part.local_optional) {
+                if local {
+                    add(o.object);
+                }
+            }
+        }
+        Bytes(objects) + system.html_bytes_of(site)
     }
 
     /// Eq. 8 left-hand side: the HTTP request rate hitting `site`,

@@ -1,7 +1,10 @@
 //! Property tests for the model crate's data structures: the bit matrix,
 //! the unit arithmetic and the placement bookkeeping.
 
-use mmrepl_model::{BitMatrix, Bytes, BytesPerSec, Secs};
+use mmrepl_model::{
+    default_site, BitMatrix, Bytes, BytesPerSec, MediaObject, OptionalRef, Placement, ReqPerSec,
+    Secs, SiteId, SystemBuilder, WebPage,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -96,5 +99,79 @@ proptest! {
         prop_assert!(b.scale(lo) <= b.scale(hi) + Bytes(1));
         prop_assert!(b.scale(1.0) == b);
         prop_assert!(b.scale(0.0) == Bytes::ZERO);
+    }
+
+    /// `storage_used` (first-seen size sums) equals Eq. 10's definition:
+    /// HTML bytes plus the sizes of the stored set, on random systems with
+    /// objects shared across pages and sites and random marks.
+    #[test]
+    fn storage_used_is_html_plus_stored_set_sizes(
+        n_sites in 1u32..4,
+        sizes in prop::collection::vec(1u64..5_000_000, 1..200),
+        pages in prop::collection::vec(
+            (
+                0u32..4,
+                prop::collection::vec((0usize..200, any::<bool>()), 0..12),
+                prop::collection::vec((0usize..200, any::<bool>()), 0..12),
+            ),
+            1..30,
+        ),
+    ) {
+        let mut b = SystemBuilder::new();
+        let sites: Vec<SiteId> = (0..n_sites).map(|_| b.add_site(default_site())).collect();
+        let objects: Vec<_> = sizes
+            .iter()
+            .map(|&s| b.add_object(MediaObject::of_size(Bytes(s))))
+            .collect();
+        let mut marks = Vec::new();
+        for (site, comp, opt) in &pages {
+            // One reference per object and page, as the model requires.
+            let mut taken = std::collections::BTreeSet::new();
+            let comp: Vec<_> = comp
+                .iter()
+                .map(|&(k, m)| (k % objects.len(), m))
+                .filter(|&(k, _)| taken.insert(k))
+                .collect();
+            let opt: Vec<_> = opt
+                .iter()
+                .map(|&(k, m)| (k % objects.len(), m))
+                .filter(|&(k, _)| taken.insert(k))
+                .collect();
+            b.add_page(WebPage {
+                site: sites[*site as usize % sites.len()],
+                html_size: Bytes::kib(3),
+                freq: ReqPerSec(1.0),
+                compulsory: comp.iter().map(|&(k, _)| objects[k]).collect(),
+                optional: opt
+                    .iter()
+                    .map(|&(k, _)| OptionalRef { object: objects[k], prob: 0.03 })
+                    .collect(),
+                opt_req_factor: 1.0,
+            });
+            marks.push((comp, opt));
+        }
+        let sys = b.build().unwrap();
+        let mut placement = Placement::all_remote(&sys);
+        for (pid, (comp, opt)) in sys.pages().ids().zip(&marks) {
+            let part = placement.partition_mut(pid);
+            for (slot, &(_, m)) in comp.iter().enumerate() {
+                part.local_compulsory[slot] = m;
+            }
+            for (slot, &(_, m)) in opt.iter().enumerate() {
+                part.local_optional[slot] = m;
+            }
+        }
+        for &site in &sites {
+            let stored: Bytes = placement
+                .stored_set(&sys, site)
+                .iter()
+                .map(|k| sys.object_size(k))
+                .sum();
+            prop_assert_eq!(
+                placement.storage_used(&sys, site),
+                sys.html_bytes_of(site) + stored,
+                "site {}", site
+            );
+        }
     }
 }
