@@ -11,9 +11,9 @@
 
 use mmrepl_baselines::StaticRouter;
 use mmrepl_bench::BinArgs;
-use mmrepl_core::ReplicationPolicy;
+use mmrepl_core::{parallel_map, ReplicationPolicy};
 use mmrepl_model::Placement;
-use mmrepl_sim::{parallel_map, queueing_replay};
+use mmrepl_sim::queueing_replay;
 use mmrepl_workload::{generate_trace, TraceConfig};
 
 fn main() -> std::io::Result<()> {

@@ -65,8 +65,6 @@ pub enum AuditStage {
     CapacityRestore,
     /// After one site absorbed workload during an off-loading round.
     OffloadRound,
-    /// After an incremental delta-replan of a dirty site.
-    DeltaReplan,
     /// An explicit validation call outside the pipeline (tests).
     Validate,
 }
@@ -78,7 +76,6 @@ impl fmt::Display for AuditStage {
             AuditStage::StorageRestore => "storage restoration",
             AuditStage::CapacityRestore => "capacity restoration",
             AuditStage::OffloadRound => "offload round",
-            AuditStage::DeltaReplan => "delta replan",
             AuditStage::Validate => "explicit validation",
         })
     }

@@ -62,7 +62,7 @@
 
 use crate::offload::{
     absorb_workload, classify, paper_round_plan, status_of, AbsorbResult, AssignmentRule,
-    OffloadConfig, OffloadReport, RoundPlan, StatusReport, EPS,
+    OffloadConfig, OffloadReport, RoundPlan, StatusReport, BUS_LATENCY, EPS, MAX_ROUNDS, MAX_SWAPS,
 };
 use crate::pool::parallel_map;
 use crate::state::SiteWork;
@@ -121,7 +121,7 @@ pub enum StrategyKind {
     #[default]
     GreedyProportional,
     /// Over-ask progressively so the negotiation converges within
-    /// [`NegotiateConfig::deadline_rounds`].
+    /// [`DEADLINE_ROUNDS`].
     DeadlineBounded,
     /// Highest-headroom bidders absorb whole chunks.
     Auction,
@@ -149,7 +149,7 @@ impl StrategyKind {
 }
 
 /// The deadline-bounded strategy: over-asks so the negotiation lands
-/// within `deadline_rounds`. Round `round` scales the paper's
+/// within [`DEADLINE_ROUNDS`]. Round `round` scales the paper's
 /// proportional ask by `deadline / (deadline − round)` (capped at each
 /// site's headroom), and the final pre-deadline round asks for full
 /// headroom outright. Trades absorbed-workload precision for fewer
@@ -160,14 +160,13 @@ fn deadline_round(
     demoted: &[bool],
     repo_capacity: f64,
     rule: AssignmentRule,
-    deadline_rounds: usize,
     round: usize,
 ) -> RoundPlan {
     let base = paper_round_plan(statuses, demoted, repo_capacity, rule);
     let RoundPlan::Assign(assignments) = base else {
         return base;
     };
-    let deadline = deadline_rounds.max(1);
+    let deadline = DEADLINE_ROUNDS;
     let remaining = deadline.saturating_sub(round);
     let boosted = assignments
         .into_iter()
@@ -224,40 +223,30 @@ fn auction_round(statuses: &[StatusReport], demoted: &[bool], repo_capacity: f64
     RoundPlan::Assign(assignments)
 }
 
-/// Negotiation protocol knobs, layered on top of [`OffloadConfig`]
-/// (which keeps owning latency, `max_rounds`, `max_swaps` and the split
-/// rule).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+/// Round budget the [`StrategyKind::DeadlineBounded`] strategy converges
+/// within.
+pub const DEADLINE_ROUNDS: usize = 4;
+
+/// Initial reply timeout: 5x the one-way [`crate::offload::BUS_LATENCY`],
+/// so one round trip always fits.
+pub const TIMEOUT: Secs = Secs(0.5);
+
+/// Resend attempts per exchange before degrading to last-known state.
+pub const MAX_RETRIES: u32 = 3;
+
+/// Timeout multiplier per retry (bounded exponential backoff).
+pub const BACKOFF: f64 = 2.0;
+
+/// Negotiation protocol configuration: the round-planning strategy and
+/// the bus's fault injection. The split rule lives in [`OffloadConfig`];
+/// the protocol's timing and retry budget are the constants
+/// [`DEADLINE_ROUNDS`], [`TIMEOUT`], [`MAX_RETRIES`] and [`BACKOFF`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct NegotiateConfig {
     /// Round-planning strategy.
     pub strategy: StrategyKind,
-    /// Round budget the [`StrategyKind::DeadlineBounded`] strategy
-    /// converges within (ignored by the other strategies).
-    pub deadline_rounds: usize,
     /// Control-plane fault injection (drop/duplicate/reorder/jitter).
     pub faults: FaultConfig,
-    /// Initial reply timeout. Must exceed one round trip or every
-    /// exchange times out spuriously; the default is 5× the default
-    /// one-way latency.
-    pub timeout: Secs,
-    /// Resend attempts per exchange before degrading to last-known
-    /// state.
-    pub max_retries: u32,
-    /// Timeout multiplier per retry (bounded exponential backoff).
-    pub backoff: f64,
-}
-
-impl Default for NegotiateConfig {
-    fn default() -> Self {
-        NegotiateConfig {
-            strategy: StrategyKind::GreedyProportional,
-            deadline_rounds: 4,
-            faults: FaultConfig::reliable(),
-            timeout: Secs(0.5),
-            max_retries: 3,
-            backoff: 2.0,
-        }
-    }
 }
 
 impl NegotiateConfig {
@@ -277,31 +266,16 @@ impl NegotiateConfig {
             StrategyKind::GreedyProportional => {
                 paper_round_plan(statuses, demoted, repo_capacity, rule)
             }
-            StrategyKind::DeadlineBounded => deadline_round(
-                statuses,
-                demoted,
-                repo_capacity,
-                rule,
-                self.deadline_rounds,
-                round,
-            ),
+            StrategyKind::DeadlineBounded => {
+                deadline_round(statuses, demoted, repo_capacity, rule, round)
+            }
             StrategyKind::Auction => auction_round(statuses, demoted, repo_capacity),
         }
     }
 
-    /// Validates the knobs.
+    /// Validates the fault injection settings.
     pub fn validate(&self) -> Result<(), String> {
-        self.faults.validate()?;
-        if !(self.timeout.is_valid() && self.timeout.get() > 0.0) {
-            return Err(format!(
-                "negotiation timeout {:?} must be > 0",
-                self.timeout
-            ));
-        }
-        if !(self.backoff.is_finite() && self.backoff >= 1.0) {
-            return Err(format!("backoff {} must be >= 1", self.backoff));
-        }
-        Ok(())
+        self.faults.validate()
     }
 }
 
@@ -471,7 +445,7 @@ struct Session<'s, 'a> {
 /// Drives the negotiation over `works` against a repository (or serving
 /// node) of capacity `repo_capacity` req/s, with `config.strategy`
 /// planning each round. Always terminates: rounds are bounded by
-/// `offload.max_rounds`, each exchange by `config.max_retries`, and the
+/// [`crate::offload::MAX_ROUNDS`], each exchange by [`MAX_RETRIES`], and the
 /// closing drain by fuel. Same-instant absorptions run on one worker per
 /// core; the outcome does not depend on the thread count.
 pub fn run_negotiation(
@@ -509,7 +483,7 @@ impl<'s, 'a> Session<'s, 'a> {
             .unwrap_or_else(|e| panic!("invalid negotiation config: {e}"));
         let n = works.len();
         Session {
-            bus: MessageBus::with_faults(offload.bus_latency, config.faults),
+            bus: MessageBus::with_faults(BUS_LATENCY, config.faults),
             works,
             agents: (0..n)
                 .map(|_| SiteAgent {
@@ -567,14 +541,14 @@ fn negotiate(
     }
     let mut attempt = 0u32;
     loop {
-        let deadline = s.bus.now().after(backoff_timeout(config, attempt));
+        let deadline = s.bus.now().after(backoff_timeout(attempt));
         s.pump(deadline, |repo| repo.tags.iter().all(|&t| t > 0));
         if s.repo.tags.iter().all(|&t| t > 0) {
             break;
         }
         s.bus.advance_to(deadline);
         s.tally.timeouts += 1;
-        if attempt >= config.max_retries {
+        if attempt >= MAX_RETRIES {
             for (i, work) in s.works.iter().enumerate() {
                 if s.repo.tags[i] == 0 {
                     s.repo.statuses[i] = status_of(work);
@@ -608,7 +582,7 @@ fn negotiate(
         if p_r <= repo_capacity + EPS {
             break;
         }
-        if rounds >= offload.max_rounds {
+        if rounds >= MAX_ROUNDS {
             believed_feasible = false;
             break;
         }
@@ -646,14 +620,14 @@ fn negotiate(
         }
         let mut attempt = 0u32;
         loop {
-            let deadline = s.bus.now().after(backoff_timeout(config, attempt));
+            let deadline = s.bus.now().after(backoff_timeout(attempt));
             s.pump(deadline, |repo| !repo.pending.iter().any(|&p| p));
             if !s.repo.pending.iter().any(|&p| p) {
                 break;
             }
             s.bus.advance_to(deadline);
             s.tally.timeouts += 1;
-            if attempt >= config.max_retries {
+            if attempt >= MAX_RETRIES {
                 // Degrade: keep the silent sites' last-known statuses
                 // (stale at worst overestimates their repository load —
                 // a lost counter hides an absorption, never invents one)
@@ -762,9 +736,9 @@ fn negotiate(
 
 /// The retry deadline grows exponentially but stays bounded (the
 /// exponent caps at 16 doublings — far beyond any real retry budget —
-/// so a misconfigured backoff cannot overflow to infinity).
-fn backoff_timeout(config: &NegotiateConfig, attempt: u32) -> f64 {
-    config.timeout.get() * config.backoff.powi(attempt.min(16) as i32)
+/// so the deadline cannot overflow to infinity).
+fn backoff_timeout(attempt: u32) -> f64 {
+    TIMEOUT.get() * BACKOFF.powi(attempt.min(16) as i32)
 }
 
 /// Position of `site`'s state in `works`.
@@ -950,7 +924,6 @@ impl Session<'_, '_> {
     /// sites — on the worker pool, returning each result with the site's
     /// post-absorption status, in job order.
     fn absorb_all(&mut self, jobs: &[(usize, f64, bool)]) -> Vec<(AbsorbResult, StatusReport)> {
-        let max_swaps = self.offload.max_swaps;
         let mut slots: Vec<Option<&mut SiteWork<'_>>> = self.works.iter_mut().map(Some).collect();
         let works: Vec<Mutex<&mut SiteWork<'_>>> = jobs
             .iter()
@@ -960,7 +933,7 @@ impl Session<'_, '_> {
             let (_, amount, allow_alloc) = jobs[k];
             let mut guard = works[k].lock().expect("absorption job poisoned");
             let work: &mut SiteWork<'_> = &mut guard;
-            let swaps = if allow_alloc { 0 } else { max_swaps };
+            let swaps = if allow_alloc { 0 } else { MAX_SWAPS };
             let result = absorb_workload(work, amount, allow_alloc, swaps);
             #[cfg(feature = "audit")]
             crate::audit::assert_consistent(work, crate::audit::AuditStage::OffloadRound);
@@ -1149,7 +1122,6 @@ mod tests {
                 let config = NegotiateConfig {
                     strategy,
                     faults: FaultConfig::chaos(seed),
-                    ..NegotiateConfig::default()
                 };
                 let neg = run_negotiation(
                     &mut works,
@@ -1157,7 +1129,7 @@ mod tests {
                     &OffloadConfig::default(),
                     &config,
                 );
-                assert!(neg.report.rounds <= OffloadConfig::default().max_rounds);
+                assert!(neg.report.rounds <= MAX_ROUNDS);
                 for w in &works {
                     assert!(w.load() <= w.capacity() + 1e-6);
                     assert!(w.storage_used() <= w.storage_capacity());
@@ -1169,11 +1141,10 @@ mod tests {
 
     #[test]
     fn total_silence_degrades_to_last_known_state() {
-        // Every message drops (except: drop < 1.0 required, so use 0.99
-        // with a seed that kills the whole exchange — instead force it
-        // with retries = 0 and a fully dropping-ish config). With nothing
-        // delivered, the repository falls back to its own model of every
-        // site and the negotiation still terminates with a sane report.
+        // Nearly every message drops (the bus requires drop < 1.0, so
+        // 0.99), exhausting the retry budget. With nothing delivered, the
+        // repository falls back to its own model of every site and the
+        // negotiation still terminates with a sane report.
         let sys = generate_system(&WorkloadParams::small(), 5)
             .unwrap()
             .with_processing_fraction(1.2);
@@ -1188,7 +1159,6 @@ mod tests {
                 jitter: Secs(0.0),
                 seed: 11,
             },
-            max_retries: 1,
             ..NegotiateConfig::default()
         };
         let neg = run_negotiation(&mut works, cap, &OffloadConfig::default(), &config);
@@ -1328,7 +1298,6 @@ mod tests {
             let initial: f64 = works.iter().map(|w| w.repo_load()).sum();
             let config = NegotiateConfig {
                 strategy,
-                deadline_rounds: 2,
                 ..NegotiateConfig::default()
             };
             run_negotiation(
@@ -1382,17 +1351,5 @@ mod tests {
             assert_eq!(StrategyKind::parse(k.name()), Some(k));
         }
         assert_eq!(StrategyKind::parse("nope"), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid negotiation config")]
-    fn rejects_sub_one_backoff() {
-        let sys = generate_system(&WorkloadParams::small(), 1).unwrap();
-        let mut works = restored_works(&sys);
-        let config = NegotiateConfig {
-            backoff: 0.5,
-            ..NegotiateConfig::default()
-        };
-        let _ = run_negotiation(&mut works, 1.0, &OffloadConfig::default(), &config);
     }
 }

@@ -45,29 +45,23 @@ pub enum AssignmentRule {
     EqualSplit,
 }
 
-/// Negotiation tuning knobs.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+/// One-way control-plane latency per hop: Table 1's repository RTT of
+/// 200 ms, halved.
+pub const BUS_LATENCY: Secs = Secs(0.1);
+
+/// Safety bound on negotiation rounds.
+pub const MAX_ROUNDS: usize = 32;
+
+/// Maximum object swaps a storage-full site attempts per assignment.
+pub const MAX_SWAPS: usize = 64;
+
+/// Off-loading configuration: the excess-splitting rule. Latency, the
+/// round bound and the swap bound are the constants [`BUS_LATENCY`],
+/// [`MAX_ROUNDS`] and [`MAX_SWAPS`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct OffloadConfig {
-    /// One-way control-plane latency per hop (Table 1's repository RTT of
-    /// 200 ms suggests 100 ms).
-    pub bus_latency: Secs,
-    /// Safety bound on negotiation rounds.
-    pub max_rounds: usize,
-    /// Maximum object swaps a storage-full site attempts per assignment.
-    pub max_swaps: usize,
     /// Excess-splitting rule.
     pub assignment: AssignmentRule,
-}
-
-impl Default for OffloadConfig {
-    fn default() -> Self {
-        OffloadConfig {
-            bus_latency: Secs(0.1),
-            max_rounds: 32,
-            max_swaps: 64,
-            assignment: AssignmentRule::ProportionalToHeadroom,
-        }
-    }
 }
 
 /// One site's status message payload.
@@ -742,10 +736,7 @@ mod tests {
         let run = |rule: AssignmentRule| {
             let mut works = restored_works(&sys);
             let initial: f64 = works.iter().map(|w| w.repo_load()).sum();
-            let cfg = OffloadConfig {
-                assignment: rule,
-                ..OffloadConfig::default()
-            };
+            let cfg = OffloadConfig { assignment: rule };
             run_offload(&mut works, initial * 0.7, &cfg).report
         };
         let prop = run(AssignmentRule::ProportionalToHeadroom);

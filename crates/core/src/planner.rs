@@ -8,6 +8,7 @@ use crate::partition::{partition_all_threads, partition_all_with_threads};
 use crate::select::{select_ancestors, AncestorPolicy, Selection};
 use crate::state::SiteWork;
 use crate::storage::{restore_storage, StorageReport};
+use crate::streams::SiteParams;
 use mmrepl_model::{
     ConstraintReport, CostParams, IdVec, PageId, PagePartition, Placement, ServingChannel, SiteId,
     System,
@@ -19,7 +20,7 @@ use serde::{Deserialize, Serialize};
 pub struct PlannerConfig {
     /// Objective weights `(α1, α2)`.
     pub cost: CostParams,
-    /// Off-loading negotiation knobs.
+    /// Stage 4's excess-splitting rule.
     pub offload: OffloadConfig,
     /// Charge each stored object's update rate against site and
     /// repository capacity (read/write extension; the paper's read-only
@@ -121,6 +122,69 @@ impl ReplicationPolicy {
         &self.config
     }
 
+    /// Stages 2 and 3 of the paper's per-site pipeline for `sites`:
+    /// adopt `initial`'s rows into dense per-site state, restore storage
+    /// (Eq. 10), then local capacity (Eq. 8). `params` overrides each
+    /// site's planner estimates (the serving channel on tree systems);
+    /// `None` prices against the sites' own estimates.
+    ///
+    /// Each site is one shard on [`crate::pool`] with up to `threads`
+    /// workers (`0` = one per core), under a `plan.restore.shard` span,
+    /// with the `audit` hooks after each stage. Sites are independent,
+    /// so the results, returned in `sites` order, do not depend on the
+    /// thread count. Cold plans, the tree re-selection pass and the
+    /// online delta replan all run this one routine.
+    pub fn restore_sites<'a>(
+        &self,
+        system: &'a System,
+        initial: &Placement,
+        sites: &[SiteId],
+        params: Option<&IdVec<SiteId, SiteParams>>,
+        threads: usize,
+    ) -> Vec<(SiteWork<'a>, StorageReport, CapacityReport)> {
+        let cfg = &self.config;
+        let shards = crate::pool::parallel_map(sites.len(), threads, |i| {
+            let s = sites[i];
+            // The wall time feeds the shard-imbalance counter below.
+            let shard_start = std::time::Instant::now();
+            let _shard = mmrepl_obs::span("plan.restore.shard");
+            let mut w = {
+                // Adopting the partition into dense per-site state is the
+                // tail of stage 1, so it counts toward `plan.partition`.
+                let _s = mmrepl_obs::span("plan.partition");
+                let p = params.map_or_else(|| SiteParams::of(system.site(s)), |p| p[s]);
+                SiteWork::with_params(system, s, initial, cfg.cost, cfg.include_update_load, p)
+            };
+            #[cfg(feature = "audit")]
+            crate::audit::assert_consistent(&w, crate::audit::AuditStage::Partition);
+            let st = {
+                let _s = mmrepl_obs::span("plan.storage_restore");
+                restore_storage(&mut w)
+            };
+            #[cfg(feature = "audit")]
+            crate::audit::assert_consistent(&w, crate::audit::AuditStage::StorageRestore);
+            let cap = {
+                let _s = mmrepl_obs::span("plan.capacity_restore");
+                restore_capacity(&mut w)
+            };
+            #[cfg(feature = "audit")]
+            crate::audit::assert_consistent(&w, crate::audit::AuditStage::CapacityRestore);
+            ((w, st, cap), shard_start.elapsed().as_nanos() as u64)
+        });
+        if mmrepl_obs::enabled() {
+            // Shard imbalance: slowest over fastest shard wall time, ×100
+            // (100 = perfectly balanced). Accumulates (sums) over every
+            // call under one recorder; a trace of one plain cold plan
+            // reads it directly as a ratio.
+            let max_ns = shards.iter().map(|s| s.1).max().unwrap_or(0);
+            let min_ns = shards.iter().map(|s| s.1).min().unwrap_or(0);
+            if let Some(x100) = (max_ns * 100).checked_div(min_ns) {
+                mmrepl_obs::add("plan.restore.shard.imbalance_x100", x100);
+            }
+        }
+        shards.into_iter().map(|(r, _)| r).collect()
+    }
+
     /// Runs the full pipeline over `system`, fanning `PARTITION`, the
     /// per-site shards (partition adoption + both restorations) and
     /// off-loading's same-instant absorptions out over one worker per
@@ -167,10 +231,10 @@ impl ReplicationPolicy {
     ) -> PlanOutcome {
         // Stage 1 (the `initial` partition) is per-site independent, as
         // are stages 2 & 3 (the local restorations), so the per-site state
-        // build and both restorations run in one fused pass per site,
-        // optionally in parallel on the shared worker pool. Results come
-        // back in site-id order, so the outcome is bit-identical to the
-        // sequential plan.
+        // build and both restorations run in one fused pass per site
+        // ([`ReplicationPolicy::restore_sites`]) on the shared worker
+        // pool. Results come back in site-id order, so the outcome is
+        // bit-identical to the sequential plan.
         let site_ids: Vec<_> = system.sites().ids().collect();
 
         // Stage 0 (tree systems only): pick the repository node serving
@@ -203,59 +267,12 @@ impl ReplicationPolicy {
             owned_initial.as_ref().expect("just assigned")
         };
 
-        let per_site = |s: mmrepl_model::SiteId| {
-            // One site = one shard. The span lands in the stage table; the
-            // wall time feeds the shard-imbalance counter below.
-            let shard_start = std::time::Instant::now();
-            let _shard = mmrepl_obs::span("plan.restore.shard");
-            let mut w = {
-                // Adopting the partition into dense per-site state is the
-                // tail of stage 1, so it counts toward `plan.partition`.
-                let _s = mmrepl_obs::span("plan.partition");
-                match &selection {
-                    Some(sel) => SiteWork::with_params(
-                        system,
-                        s,
-                        initial,
-                        self.config.cost,
-                        self.config.include_update_load,
-                        sel.params[s],
-                    ),
-                    None => SiteWork::with_update_accounting(
-                        system,
-                        s,
-                        initial,
-                        self.config.cost,
-                        self.config.include_update_load,
-                    ),
-                }
-            };
-            #[cfg(feature = "audit")]
-            crate::audit::assert_consistent(&w, crate::audit::AuditStage::Partition);
-            let st = {
-                let _s = mmrepl_obs::span("plan.storage_restore");
-                restore_storage(&mut w)
-            };
-            #[cfg(feature = "audit")]
-            crate::audit::assert_consistent(&w, crate::audit::AuditStage::StorageRestore);
-            let cap = {
-                let _s = mmrepl_obs::span("plan.capacity_restore");
-                restore_capacity(&mut w)
-            };
-            #[cfg(feature = "audit")]
-            crate::audit::assert_consistent(&w, crate::audit::AuditStage::CapacityRestore);
-            (w, st, cap, shard_start.elapsed().as_nanos() as u64)
-        };
-
-        let results: Vec<(SiteWork<'_>, StorageReport, CapacityReport, u64)> =
-            crate::pool::parallel_map(site_ids.len(), threads, |i| per_site(site_ids[i]));
-        let mut works = Vec::with_capacity(results.len());
-        let mut storage = Vec::with_capacity(results.len());
-        let mut capacity = Vec::with_capacity(results.len());
-        let (mut shard_max_ns, mut shard_min_ns) = (0u64, u64::MAX);
-        for (w, st, cap, ns) in results {
-            shard_max_ns = shard_max_ns.max(ns);
-            shard_min_ns = shard_min_ns.min(ns);
+        // Stages 2 & 3, one shard per site on the pool.
+        let params = selection.as_ref().map(|sel| &sel.params);
+        let mut works = Vec::with_capacity(site_ids.len());
+        let mut storage = Vec::with_capacity(site_ids.len());
+        let mut capacity = Vec::with_capacity(site_ids.len());
+        for (w, st, cap) in self.restore_sites(system, initial, &site_ids, params, threads) {
             works.push(w);
             storage.push(st);
             capacity.push(cap);
@@ -282,15 +299,16 @@ impl ReplicationPolicy {
                         &demand,
                     )
                 };
-                let changed: Vec<usize> = (0..site_ids.len())
-                    .filter(|&i| resel.serving[site_ids[i]] != sel.serving[site_ids[i]])
+                let changed: Vec<SiteId> = site_ids
+                    .iter()
+                    .copied()
+                    .filter(|&s| resel.serving[s] != sel.serving[s])
                     .collect();
                 if !changed.is_empty() {
                     let mut repart = initial.clone();
                     {
                         let _s = mmrepl_obs::span("plan.partition");
-                        for &i in &changed {
-                            let s = site_ids[i];
+                        for &s in &changed {
                             for &p in system.pages_of(s) {
                                 *repart.partition_mut(p) =
                                     crate::partition::partition_page_ordered_with(
@@ -302,42 +320,12 @@ impl ReplicationPolicy {
                             }
                         }
                     }
-                    for &i in &changed {
-                        let s = site_ids[i];
-                        let mut w = {
-                            let _s = mmrepl_obs::span("plan.partition");
-                            SiteWork::with_params(
-                                system,
-                                s,
-                                &repart,
-                                self.config.cost,
-                                self.config.include_update_load,
-                                resel.params[s],
-                            )
-                        };
-                        #[cfg(feature = "audit")]
-                        crate::audit::assert_consistent(&w, crate::audit::AuditStage::Partition);
-                        let st = {
-                            let _s = mmrepl_obs::span("plan.storage_restore");
-                            restore_storage(&mut w)
-                        };
-                        #[cfg(feature = "audit")]
-                        crate::audit::assert_consistent(
-                            &w,
-                            crate::audit::AuditStage::StorageRestore,
-                        );
-                        let cap = {
-                            let _s = mmrepl_obs::span("plan.capacity_restore");
-                            restore_capacity(&mut w)
-                        };
-                        #[cfg(feature = "audit")]
-                        crate::audit::assert_consistent(
-                            &w,
-                            crate::audit::AuditStage::CapacityRestore,
-                        );
-                        works[i] = w;
-                        storage[i] = st;
-                        capacity[i] = cap;
+                    let redone =
+                        self.restore_sites(system, &repart, &changed, Some(&resel.params), threads);
+                    for (&s, (w, st, cap)) in changed.iter().zip(redone) {
+                        works[s.index()] = w;
+                        storage[s.index()] = st;
+                        capacity[s.index()] = cap;
                     }
                 }
                 reselections = changed.len();
@@ -349,16 +337,6 @@ impl ReplicationPolicy {
         }
 
         if mmrepl_obs::enabled() {
-            // Shard imbalance: slowest over fastest shard wall time, ×100
-            // (100 = perfectly balanced). Accumulates (sums) when several
-            // plans run under one recorder; traces of a single plan read
-            // it directly as a ratio.
-            if shard_min_ns != u64::MAX && shard_min_ns > 0 {
-                mmrepl_obs::add(
-                    "plan.restore.shard.imbalance_x100",
-                    shard_max_ns * 100 / shard_min_ns,
-                );
-            }
             let mut pops = 0u64;
             let (mut dealloc, mut orphaned, mut repart, mut freed) = (0u64, 0u64, 0u64, 0u64);
             let mut repart_calls = 0u64;

@@ -274,11 +274,10 @@ proptest! {
         let config = NegotiateConfig {
             strategy,
             faults: FaultConfig { drop, duplicate, reorder, jitter: Secs(jitter), seed: fault_seed },
-            ..NegotiateConfig::default()
         };
         let neg = run_negotiation(&mut works, cap, &OffloadConfig::default(), &config);
 
-        prop_assert!(neg.report.rounds <= OffloadConfig::default().max_rounds);
+        prop_assert!(neg.report.rounds <= mmrepl_core::offload::MAX_ROUNDS);
         let after: f64 = works.iter().map(|w| w.repo_load()).sum();
         prop_assert!(after <= before + 1e-6, "repository load grew");
         prop_assert!((neg.report.final_repo_load - after).abs() < 1e-9,

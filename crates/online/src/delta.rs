@@ -16,6 +16,13 @@
 //!    dirty subset against the capacity left after the clean sites'
 //!    (unchanged) repository load.
 //!
+//! Both halves are the cold planner's own code, not a copy: the dirty
+//! sites go through [`ReplicationPolicy::restore_sites`] (one shard per
+//! site on the worker pool, with the planner's spans and audit hooks),
+//! and the negotiation runs the policy's own protocol
+//! ([`run_negotiation`] with its `offload` and `negotiation` configs),
+//! so a policy with a non-default strategy replans the way it plans.
+//!
 //! The resulting *target* rows are then **diffed against the live plan**
 //! and applied under a *churn budget*: switching a page's row is free
 //! when every newly-marked object is already resident at the site
@@ -27,9 +34,7 @@
 //! **bit-identical** to a cold plan on the same estimated rates — pinned
 //! by a property test.
 
-use mmrepl_core::{
-    partition_all, restore_capacity, restore_storage, run_offload, ReplicationPolicy, SiteWork,
-};
+use mmrepl_core::{partition_all, run_negotiation, ReplicationPolicy, SiteWork};
 use mmrepl_model::{
     Bytes, CostModel, ObjectId, PageId, PagePartition, Placement, SiteId, StoredSet, System,
 };
@@ -279,27 +284,17 @@ impl DeltaPlanner {
     }
 
     /// Computes the target rows for every page of the dirty sites: the
-    /// restorations re-run per dirty site from the cached partition, then
-    /// the off-loading negotiation over the dirty subset against the
+    /// policy's per-site pass ([`ReplicationPolicy::restore_sites`])
+    /// re-run per dirty site from the cached partition, then the policy's
+    /// off-loading negotiation over the dirty subset against the
     /// repository capacity net of the clean sites' unchanged load.
     fn target_rows(&self, est: &System, dirty: &[SiteId]) -> Vec<Option<PagePartition>> {
-        let cfg = *self.policy.config();
-        let mut works: Vec<SiteWork<'_>> = dirty
-            .iter()
-            .map(|&s| {
-                let mut w = SiteWork::with_update_accounting(
-                    est,
-                    s,
-                    &self.partition,
-                    cfg.cost,
-                    cfg.include_update_load,
-                );
-                restore_storage(&mut w);
-                restore_capacity(&mut w);
-                #[cfg(feature = "audit")]
-                mmrepl_core::assert_consistent(&w, mmrepl_core::AuditStage::DeltaReplan);
-                w
-            })
+        let cfg = self.policy.config();
+        let mut works: Vec<SiteWork<'_>> = self
+            .policy
+            .restore_sites(est, &self.partition, dirty, None, 0)
+            .into_iter()
+            .map(|(w, _, _)| w)
             .collect();
 
         let clean_repo_load: f64 = est
@@ -309,11 +304,7 @@ impl DeltaPlanner {
             .map(|s| self.live.repo_load_from(est, s).get())
             .sum();
         let eff_capacity = (est.repository().capacity.get() - clean_repo_load).max(0.0);
-        run_offload(&mut works, eff_capacity, &cfg.offload);
-        #[cfg(feature = "audit")]
-        for w in &works {
-            mmrepl_core::assert_consistent(w, mmrepl_core::AuditStage::DeltaReplan);
-        }
+        run_negotiation(&mut works, eff_capacity, &cfg.offload, &cfg.negotiation);
 
         let mut rows: Vec<Option<PagePartition>> = vec![None; est.n_pages()];
         for w in works {

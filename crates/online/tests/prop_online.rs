@@ -9,7 +9,7 @@
 //!   window, and on a stationary trace the EWMA converges to the
 //!   generator's rates (hot pages estimated hot, cold pages cold).
 
-use mmrepl_core::ReplicationPolicy;
+use mmrepl_core::{NegotiateConfig, PlannerConfig, ReplicationPolicy, StrategyKind};
 use mmrepl_model::{Secs, System};
 use mmrepl_online::{rate_divergence, ChurnBudget, DeltaPlanner, EstimatorConfig, RateEstimator};
 use mmrepl_workload::{generate_trace, DriftModel, SiteTrace, TraceConfig, WorkloadParams};
@@ -40,23 +40,36 @@ proptest! {
     /// Unlimited budget + all sites dirty == a cold plan of the estimated
     /// system, bit for bit. The delta path (dirty-site restorations warm-
     /// started from the cached partition, offload against net capacity)
-    /// must not be an approximation.
+    /// must not be an approximation. The repository is squeezed to 20-60 %
+    /// of the all-remote load, so stage 4 runs in many cases, under every
+    /// negotiation strategy.
     #[test]
     fn delta_replan_matches_cold_plan(
         seed in 0u64..500,
         frac in 0.45f64..0.95,
         rotation in 0.1f64..0.9,
+        central in 0.2f64..0.6,
+        strategy in 0usize..3,
     ) {
-        let base = constrained_sys(seed, frac);
+        let base = constrained_sys(seed, frac).with_central_fraction(central);
         let est = DriftModel::new(rotation).apply(&base, seed ^ 0xD1F7);
+        let strategy = [
+            StrategyKind::GreedyProportional,
+            StrategyKind::DeadlineBounded,
+            StrategyKind::Auction,
+        ][strategy];
+        let policy = ReplicationPolicy::with_config(PlannerConfig {
+            negotiation: NegotiateConfig { strategy, ..NegotiateConfig::default() },
+            ..PlannerConfig::default()
+        });
 
-        let mut planner = DeltaPlanner::new(&base, ReplicationPolicy::new());
+        let mut planner = DeltaPlanner::new(&base, policy);
         let all_sites: Vec<_> = base.sites().ids().collect();
         let outcome = planner.replan(&est, &all_sites, ChurnBudget::unlimited());
         prop_assert_eq!(outcome.report.pages_deferred, 0);
         prop_assert_eq!(outcome.report.bytes_deferred, 0);
 
-        let cold = ReplicationPolicy::new().plan(&est).placement;
+        let cold = policy.plan(&est).placement;
         prop_assert_eq!(planner.live(), &cold);
     }
 

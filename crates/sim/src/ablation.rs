@@ -4,12 +4,12 @@
 //! relevant, protocol or work counters) against the paper's choice.
 
 use crate::experiment::ExperimentConfig;
-use crate::par::parallel_map;
 use crate::replay::replay_all;
 use mmrepl_baselines::StaticRouter;
 use mmrepl_core::{
-    partition_all_ordered, restore_capacity, restore_storage_with, run_offload, AssignmentRule,
-    DeallocCriterion, OffloadConfig, PartitionOrder, PlannerConfig, ReplicationPolicy, SiteWork,
+    parallel_map, partition_all_ordered, restore_capacity, restore_storage_with, run_offload,
+    AssignmentRule, DeallocCriterion, OffloadConfig, PartitionOrder, PlannerConfig,
+    ReplicationPolicy, SiteWork,
 };
 use mmrepl_model::{CostParams, Placement, System};
 use mmrepl_workload::{generate_trace, SiteTrace, TraceConfig};
@@ -189,21 +189,14 @@ pub fn ablation_offload(cfg: &ExperimentConfig) -> AblationResult {
             ("equal-split", AssignmentRule::EqualSplit),
         ] {
             let initial = mmrepl_core::partition_all(&sys);
-            let mut works: Vec<SiteWork<'_>> = sys
-                .sites()
-                .ids()
-                .map(|s| {
-                    let mut w = SiteWork::new(&sys, s, &initial, CostParams::default());
-                    mmrepl_core::restore_storage(&mut w);
-                    restore_capacity(&mut w);
-                    w
-                })
+            let sites: Vec<_> = sys.sites().ids().collect();
+            let mut works: Vec<SiteWork<'_>> = ReplicationPolicy::new()
+                .restore_sites(&sys, &initial, &sites, None, cfg.threads)
+                .into_iter()
+                .map(|(w, _, _)| w)
                 .collect();
             let repo_load: f64 = works.iter().map(|w| w.repo_load()).sum();
-            let cfg_off = OffloadConfig {
-                assignment: rule,
-                ..OffloadConfig::default()
-            };
+            let cfg_off = OffloadConfig { assignment: rule };
             let outcome = run_offload(&mut works, repo_load * 0.7, &cfg_off);
             m.insert(label.to_string(), outcome.report.rounds as f64);
         }

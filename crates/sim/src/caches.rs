@@ -8,9 +8,9 @@
 //! same storage fractions and traces as Figure 1.
 
 use crate::experiment::{run_lru, run_ours, ExperimentConfig, FigureData, FigurePoint};
-use crate::par::parallel_map;
 use crate::replay::replay_all;
 use mmrepl_baselines::{GdsRouter, LfuRouter};
+use mmrepl_core::parallel_map;
 use mmrepl_workload::{generate_trace, TraceConfig};
 use std::collections::BTreeMap;
 

@@ -867,7 +867,7 @@ fn ref_offload(refs: &mut [RefSite<'_>], repo_capacity: f64, config: &OffloadCon
 
     loop {
         let p_r: f64 = statuses.iter().map(|s| s.repo_load).sum();
-        if p_r <= repo_capacity + EPS || rounds >= config.max_rounds {
+        if p_r <= repo_capacity + EPS || rounds >= mmrepl_core::offload::MAX_ROUNDS {
             break;
         }
         let l1: Vec<usize> = (0..refs.len())
@@ -918,7 +918,11 @@ fn ref_offload(refs: &mut [RefSite<'_>], repo_capacity: f64, config: &OffloadCon
 
         let mut round_absorbed = 0.0;
         for &(i, amount, allow_alloc) in &assignments {
-            let cfg_swaps = if allow_alloc { 0 } else { config.max_swaps };
+            let cfg_swaps = if allow_alloc {
+                0
+            } else {
+                mmrepl_core::offload::MAX_SWAPS
+            };
             let absorbed = refs[i].absorb_workload(amount, allow_alloc, cfg_swaps);
             statuses[i] = status(&refs[i]);
             if absorbed + EPS < amount {
@@ -1001,9 +1005,10 @@ fn unit(x: u64) -> f64 {
     (x >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// The fuzzed system for oracle 1: a seeded small workload squeezed by
-/// seed-derived storage, processing and repository fractions, so the fuzz
-/// corpus exercises every restoration stage (including infeasible points).
+/// The fuzzed system for oracles 1 and 2: a seeded small workload
+/// squeezed by seed-derived storage, processing and repository fractions,
+/// so the fuzz corpus exercises every restoration stage (including
+/// infeasible points).
 /// The repository gets 10-40 % of the all-remote load: after the local
 /// restorations most seeds still overload it, so most plans negotiate.
 fn fuzzed_system(seed: u64) -> System {
@@ -1052,13 +1057,12 @@ pub fn check_dense_vs_reference(sys: &System) -> Result<(), String> {
 
 /// Oracle 2: the online replanner with every site dirty and an unlimited
 /// churn budget must land exactly on the cold plan of the drifted system.
+/// The base is oracle 1's fuzzed system, squeezed in storage, processing
+/// and repository, so the delta replan runs every stage, off-loading
+/// included.
 pub fn oracle_delta_vs_cold(seed: u64) -> Result<(), String> {
-    let frac = 0.45 + 0.5 * unit(splitmix64(seed ^ 0xDE17A));
     let rotation = 0.1 + 0.8 * unit(splitmix64(seed ^ 0x0207A7E));
-    let base = generate_system(&WorkloadParams::small(), seed)
-        .expect("small params are valid")
-        .with_storage_fraction(frac)
-        .with_processing_fraction(f64::INFINITY);
+    let base = fuzzed_system(seed);
     let est = DriftModel::new(rotation).apply(&base, seed ^ 0xD1F7);
 
     let mut planner = DeltaPlanner::new(&base, ReplicationPolicy::new());
@@ -1075,7 +1079,7 @@ pub fn oracle_delta_vs_cold(seed: u64) -> Result<(), String> {
         let diffs = planner.live().diff(&cold).pages_changed;
         return Err(format!(
             "seed {seed}: delta replan diverges from cold plan on {diffs} pages \
-             (storage {frac:.3}, rotation {rotation:.3})"
+             (rotation {rotation:.3})"
         ));
     }
     Ok(())

@@ -15,10 +15,9 @@
 //! drift and how much replanning buys back.
 
 use crate::experiment::ExperimentConfig;
-use crate::par::parallel_map;
 use crate::replay::replay_all;
 use mmrepl_baselines::{LruRouter, StaticRouter};
-use mmrepl_core::ReplicationPolicy;
+use mmrepl_core::{parallel_map, ReplicationPolicy};
 use mmrepl_workload::{generate_trace, DriftModel, TraceConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;

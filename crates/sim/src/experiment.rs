@@ -11,12 +11,11 @@
 //! * Remote and Local are evaluated unconstrained, LRU under Eq. 8 only,
 //!   our policy under whatever constraints the sweep imposes.
 //!
-//! Runs are independent, so they fan out over [`crate::par::parallel_map`].
+//! Runs are independent, so they fan out over [`mmrepl_core::parallel_map`].
 
-use crate::par::parallel_map;
 use crate::replay::replay_all;
 use mmrepl_baselines::{LruRouter, StaticRouter};
-use mmrepl_core::ReplicationPolicy;
+use mmrepl_core::{parallel_map, ReplicationPolicy};
 use mmrepl_model::{Placement, System};
 use mmrepl_workload::{generate_trace, SiteTrace, TraceConfig, WorkloadParams};
 use serde::{Deserialize, Serialize};

@@ -20,10 +20,9 @@
 //! Eq. 5 are identical, so the star replayer is reused unchanged.
 
 use crate::experiment::ExperimentConfig;
-use crate::par::parallel_map;
 use crate::replay::replay_all;
 use mmrepl_baselines::{LruRouter, StaticRouter};
-use mmrepl_core::{AncestorPolicy, PlannerConfig, ReplicationPolicy};
+use mmrepl_core::{parallel_map, AncestorPolicy, PlannerConfig, ReplicationPolicy};
 use mmrepl_model::{NodeId, System};
 use mmrepl_workload::{generate_trace, TopologyParams, TraceConfig};
 use serde::{Deserialize, Serialize};

@@ -19,9 +19,6 @@
 //!   (fresh workload + trace per run), every policy replayed against the
 //!   *same* per-run trace, results normalized to our policy with no
 //!   constraints — exactly the paper's methodology;
-//! * [`par`] — fork-join over the persistent core worker pool, fanning
-//!   independent runs out across cores (runs are embarrassingly parallel;
-//!   each takes seconds at paper scale);
 //! * [`ablation`] / [`drift`] / [`caches`] / [`updates`] — the DESIGN.md
 //!   A1-A5 ablations and the extension studies: "breaking news"
 //!   replanning, cache-policy comparison, update propagation;
@@ -66,7 +63,6 @@ pub mod experiment;
 pub mod federate;
 pub mod negotiate;
 pub mod online;
-pub mod par;
 pub mod queueing;
 pub mod replay;
 pub mod updates;
@@ -90,6 +86,5 @@ pub use ablation::{
 pub use experiment::{
     figure1, figure2, figure3, headline, ExperimentConfig, FigureData, FigurePoint, Headline,
 };
-pub use par::parallel_map;
 pub use queueing::queueing_replay;
 pub use replay::{replay_all, replay_site, ReplayOutcome};

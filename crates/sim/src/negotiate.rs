@@ -20,8 +20,7 @@
 //! and resilience counters (retries, timeouts, degraded sites).
 
 use crate::experiment::ExperimentConfig;
-use crate::par::parallel_map;
-use mmrepl_core::{NegotiateConfig, PlannerConfig, ReplicationPolicy, StrategyKind};
+use mmrepl_core::{parallel_map, NegotiateConfig, PlannerConfig, ReplicationPolicy, StrategyKind};
 use mmrepl_netsim::FaultConfig;
 use serde::{Deserialize, Serialize};
 
@@ -160,7 +159,6 @@ pub fn negotiate_study(cfg: &ExperimentConfig, central_fraction: f64) -> Negotia
                 let negotiation = NegotiateConfig {
                     strategy,
                     faults: scenario_faults(scenario, seed ^ 0xE0_57),
-                    ..NegotiateConfig::default()
                 };
                 let plan = ReplicationPolicy::with_config(PlannerConfig {
                     negotiation,

@@ -22,10 +22,9 @@
 //! replanned-at-epoch-0 exactly like the drift study.
 
 use crate::experiment::ExperimentConfig;
-use crate::par::parallel_map;
 use crate::replay::replay_all;
 use mmrepl_baselines::{LruRouter, StaticRouter};
-use mmrepl_core::ReplicationPolicy;
+use mmrepl_core::{parallel_map, ReplicationPolicy};
 use mmrepl_model::{ObjectId, Secs, System};
 use mmrepl_online::{ChurnBudget, OnlineConfig, OnlineController, OnlineReplayOutcome};
 use mmrepl_serve::{route_traces, EpochCell, PlacementSnapshot};

@@ -16,10 +16,9 @@
 //! planner's extended-constraint violations grow without bound.
 
 use crate::experiment::ExperimentConfig;
-use crate::par::parallel_map;
 use crate::replay::replay_all;
 use mmrepl_baselines::StaticRouter;
-use mmrepl_core::{PlannerConfig, ReplicationPolicy};
+use mmrepl_core::{parallel_map, PlannerConfig, ReplicationPolicy};
 use mmrepl_model::{replica_count, UpdateAwareReport};
 use mmrepl_workload::{generate_trace, sampling::uniform_in, TraceConfig};
 use rand::rngs::StdRng;
