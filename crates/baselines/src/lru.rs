@@ -334,11 +334,6 @@ impl<C: ObjectCache> CachingRouter<C> {
     pub fn denied(&self) -> u64 {
         self.sites.iter().map(|s| s.denied).sum()
     }
-
-    /// Bytes cached at `site`.
-    pub fn cache_used(&self, site: SiteId) -> u64 {
-        self.sites[site.index()].cache.used()
-    }
 }
 
 impl<C: ObjectCache> RequestRouter for CachingRouter<C> {

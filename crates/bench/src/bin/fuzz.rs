@@ -8,8 +8,10 @@
 //! ```text
 //! cargo run --release -p mmrepl-bench --bin fuzz -- --seeds 64
 //! cargo run -p mmrepl-bench --bin fuzz -- --seeds 8 --start 1000
-//! cargo run -p mmrepl-bench --bin fuzz --features audit -- --seeds 16
 //! ```
+//!
+//! A debug build (no `--release`) also runs the invariant auditor after
+//! every planner stage of every oracle case.
 //!
 //! Runs are deterministic in `(--start, --seeds)`: the same range always
 //! exercises the same systems, so a CI failure reproduces locally with
@@ -49,7 +51,7 @@ fn main() {
         report.passed,
         report.cases,
         start + seeds,
-        if cfg!(feature = "audit") {
+        if cfg!(debug_assertions) {
             "compiled in"
         } else {
             "compiled out"

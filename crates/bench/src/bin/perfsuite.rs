@@ -396,7 +396,7 @@ fn main() -> std::io::Result<()> {
         suite: "perfsuite".into(),
         iters,
         note: "median seconds per operation; see crates/bench/src/bin/perfsuite.rs".into(),
-        audit_hooks: cfg!(feature = "audit"),
+        audit_hooks: cfg!(debug_assertions),
         scales,
     };
     doc.write(&out)?;

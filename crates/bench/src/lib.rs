@@ -34,8 +34,9 @@ pub struct BenchDoc {
     pub iters: usize,
     /// Human-readable provenance note.
     pub note: String,
-    /// Whether the invariant-audit hooks were compiled into this run.
-    /// Tracked baselines must be measured with auditing compiled out;
+    /// Whether the invariant-audit hooks were compiled into this run
+    /// (any build with debug assertions on). Tracked baselines must be
+    /// measured in release builds, with auditing compiled out;
     /// `scripts/bench_regress.sh` fails if this is ever true.
     #[serde(default)]
     pub audit_hooks: bool,

@@ -72,9 +72,8 @@ commands:
              result into an immutable serving snapshot and route the
              generated request trace through it; print the
              local/peer/repository split, the estimated served latency
-             and the misroute count (cross-checked when built with
-             --features audit), and write the routing stats as JSON to
-             --out.
+             and the misroute count (cross-checked in debug builds),
+             and write the routing stats as JSON to --out.
   audit      [--seeds N] [--start S] [--inject] [--trace-out FILE]
              Run the three differential oracles (dense planner vs naive
              reference, unbounded delta-replan vs cold plan, the

@@ -660,10 +660,10 @@ fn route(
     println!(
         "  misroutes         : {}{}",
         total.misroutes,
-        if cfg!(feature = "audit") {
+        if cfg!(debug_assertions) {
             " (audit-verified)"
         } else {
-            " (build with --features audit to cross-check)"
+            " (not cross-checked in release builds)"
         }
     );
     println!("  checksum          : {:016x}", total.checksum);

@@ -12,12 +12,15 @@
 //! and reports the **first** divergence with enough context (site, page,
 //! object, stage) to localize the broken mutation.
 //!
-//! With the `audit` cargo feature enabled, the planner, the off-loading
-//! negotiation and the online delta-replanner call
-//! [`assert_consistent`] after every mutation stage; without it the
-//! hooks compile away and release benchmarks are unaffected. The
-//! functions themselves are always compiled (tests and the `mmrepl
-//! audit` CLI use them regardless of the feature).
+//! In every build with debug assertions on (`cargo test`, `cargo run`
+//! without `--release`), the per-site pass (partition adoption, storage
+//! and capacity restoration, shared by cold plans, tree re-selection
+//! and the online delta replan) and every off-loading absorption call
+//! [`assert_consistent`] under a `plan.audit` span, so a debug run's
+//! stage table shows what the auditor costs. Release builds compile the
+//! hooks away and benchmarks are unaffected. The functions themselves
+//! are always compiled (tests and the `mmrepl audit` CLI use them in
+//! every profile).
 //!
 //! Separately, [`check_site_constraints`] and [`check_repo_constraint`]
 //! verify the paper's feasibility constraints — Eq. 8 (site processing),
@@ -47,8 +50,8 @@ const CONSTRAINT_EPS: f64 = 1e-6;
 static AUDITS: AtomicU64 = AtomicU64::new(0);
 
 /// Number of [`audit_site`] passes performed by this process (all
-/// threads, monotone). Lets tests assert the `audit` feature's hooks
-/// actually fired.
+/// threads, monotone). Lets tests assert that a debug build's pipeline
+/// hooks actually fired.
 pub fn audits_performed() -> u64 {
     AUDITS.load(Ordering::Relaxed)
 }
@@ -346,12 +349,19 @@ pub fn audit_site(work: &SiteWork<'_>, stage: AuditStage) -> Result<(), Box<Dive
     Ok(())
 }
 
-/// [`audit_site`] that panics with the full divergence report. This is
-/// what the `#[cfg(feature = "audit")]` pipeline hooks call.
+/// [`audit_site`] that panics with the full divergence report.
 pub fn assert_consistent(work: &SiteWork<'_>, stage: AuditStage) {
     if let Err(d) = audit_site(work, stage) {
         panic!("{d}");
     }
+}
+
+/// The pipeline hook debug builds run after each mutation stage:
+/// [`assert_consistent`] under a `plan.audit` span.
+#[cfg(debug_assertions)]
+pub(crate) fn hook(work: &SiteWork<'_>, stage: AuditStage) {
+    let _s = mmrepl_obs::span("plan.audit");
+    assert_consistent(work, stage);
 }
 
 /// Checks the per-site feasibility constraints against the *recomputable*

@@ -935,8 +935,8 @@ impl Session<'_, '_> {
             let work: &mut SiteWork<'_> = &mut guard;
             let swaps = if allow_alloc { 0 } else { MAX_SWAPS };
             let result = absorb_workload(work, amount, allow_alloc, swaps);
-            #[cfg(feature = "audit")]
-            crate::audit::assert_consistent(work, crate::audit::AuditStage::OffloadRound);
+            #[cfg(debug_assertions)]
+            crate::audit::hook(work, crate::audit::AuditStage::OffloadRound);
             (result, status_of(work))
         })
     }

@@ -130,10 +130,10 @@ impl ReplicationPolicy {
     ///
     /// Each site is one shard on [`crate::pool`] with up to `threads`
     /// workers (`0` = one per core), under a `plan.restore.shard` span,
-    /// with the `audit` hooks after each stage. Sites are independent,
-    /// so the results, returned in `sites` order, do not depend on the
-    /// thread count. Cold plans, the tree re-selection pass and the
-    /// online delta replan all run this one routine.
+    /// with the auditor run after each stage in debug builds. Sites are
+    /// independent, so the results, returned in `sites` order, do not
+    /// depend on the thread count. Cold plans, the tree re-selection pass
+    /// and the online delta replan all run this one routine.
     pub fn restore_sites<'a>(
         &self,
         system: &'a System,
@@ -155,20 +155,20 @@ impl ReplicationPolicy {
                 let p = params.map_or_else(|| SiteParams::of(system.site(s)), |p| p[s]);
                 SiteWork::with_params(system, s, initial, cfg.cost, cfg.include_update_load, p)
             };
-            #[cfg(feature = "audit")]
-            crate::audit::assert_consistent(&w, crate::audit::AuditStage::Partition);
+            #[cfg(debug_assertions)]
+            crate::audit::hook(&w, crate::audit::AuditStage::Partition);
             let st = {
                 let _s = mmrepl_obs::span("plan.storage_restore");
                 restore_storage(&mut w)
             };
-            #[cfg(feature = "audit")]
-            crate::audit::assert_consistent(&w, crate::audit::AuditStage::StorageRestore);
+            #[cfg(debug_assertions)]
+            crate::audit::hook(&w, crate::audit::AuditStage::StorageRestore);
             let cap = {
                 let _s = mmrepl_obs::span("plan.capacity_restore");
                 restore_capacity(&mut w)
             };
-            #[cfg(feature = "audit")]
-            crate::audit::assert_consistent(&w, crate::audit::AuditStage::CapacityRestore);
+            #[cfg(debug_assertions)]
+            crate::audit::hook(&w, crate::audit::AuditStage::CapacityRestore);
             ((w, st, cap), shard_start.elapsed().as_nanos() as u64)
         });
         if mmrepl_obs::enabled() {

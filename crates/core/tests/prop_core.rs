@@ -481,9 +481,9 @@ proptest! {
 
     /// On genuine trees the planner's feasibility claim must agree with
     /// the serving-aware constraint checker, for arbitrary tightness and
-    /// both ancestor policies. (With the `audit` feature on, every plan
-    /// in here also runs the per-stage invariant auditor over the tree
-    /// path's channel-parameterised bookkeeping.)
+    /// both ancestor policies. (In debug builds every plan in here also
+    /// runs the per-stage invariant auditor over the tree path's
+    /// channel-parameterised bookkeeping.)
     #[test]
     fn tree_planner_feasibility_is_honest(
         seed in 0u64..100,

@@ -164,11 +164,6 @@ impl<I, T> IdVec<I, T> {
     pub fn as_slice(&self) -> &[T] {
         &self.items
     }
-
-    /// Consumes the wrapper, returning the raw vector.
-    pub fn into_vec(self) -> Vec<T> {
-        self.items
-    }
 }
 
 impl<I, T> IdVec<I, T>

@@ -45,12 +45,6 @@ impl Bytes {
         self.0
     }
 
-    /// Byte count as `f64`, for rate arithmetic.
-    #[inline]
-    pub fn as_f64(self) -> f64 {
-        self.0 as f64
-    }
-
     /// Saturating subtraction — storage bookkeeping never goes negative.
     #[inline]
     pub fn saturating_sub(self, rhs: Bytes) -> Bytes {

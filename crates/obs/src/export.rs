@@ -226,14 +226,17 @@ fn fmt_time(s: f64) -> String {
 
 /// The canonical pipeline order for the stage table: planner stages in
 /// the order the planner runs them — with the negotiation sub-spans
-/// under `plan.offload`, where they execute — then the serving plane.
-/// Spans not listed here (auxiliary or future stages) sort after the
-/// known ones, alphabetically, and `plan.total` always closes the table.
+/// under `plan.offload`, where they execute, and the debug-build
+/// auditor's `plan.audit` after the per-site stages it checks — then the
+/// serving plane. Spans not listed here (auxiliary or future stages)
+/// sort after the known ones, alphabetically, and `plan.total` always
+/// closes the table.
 const STAGE_ORDER: &[&str] = &[
     "plan.select",
     "plan.partition",
     "plan.storage_restore",
     "plan.capacity_restore",
+    "plan.audit",
     "plan.restore.shard",
     "plan.offload",
     "negotiate.round",

@@ -78,8 +78,9 @@ pub struct RouteStats {
     /// Overlay deflections (locally-marked objects still in flight).
     pub overlay_deflected: u64,
     /// Routing decisions the audit cross-check found pointing at a site
-    /// that does not hold the object. Always 0 without the `audit`
-    /// feature; must be 0 with it.
+    /// that does not hold the object. Debug builds cross-check every
+    /// decision and must count 0; always 0 in release builds, which
+    /// compile the check away.
     pub misroutes: u64,
     /// Order-sensitive FNV-1a fold of every decision — the determinism
     /// fingerprint the thread-count `cmp` smoke compares.
@@ -214,7 +215,7 @@ impl Router {
                     checksum = fnv(checksum, (u64::from(k.raw()) << 2) | 2);
                 }
             }
-            #[cfg(feature = "audit")]
+            #[cfg(debug_assertions)]
             router.audit_target(&snap, k, target);
             observe(k, target);
         };
@@ -336,7 +337,7 @@ impl Router {
     /// the overlay: the target must hold the object *now*. The CSR is an
     /// independent derivation from the per-page marks the fast path
     /// reads, so a disagreement is a real inconsistency, not a tautology.
-    #[cfg(feature = "audit")]
+    #[cfg(debug_assertions)]
     fn audit_target(&mut self, snap: &PlacementSnapshot, k: ObjectId, target: RouteTarget) {
         let holds = match target {
             RouteTarget::Local => {

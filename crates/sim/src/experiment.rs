@@ -138,14 +138,6 @@ impl FigureData {
         }
         out
     }
-
-    /// The standard errors of one series in point order.
-    pub fn series_stderr(&self, name: &str) -> Vec<(f64, f64)> {
-        self.points
-            .iter()
-            .filter_map(|p| p.stderr.get(name).map(|&v| (p.x, v)))
-            .collect()
-    }
 }
 
 /// The scalar claims of Section 5.2.

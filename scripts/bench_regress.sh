@@ -33,13 +33,14 @@ cargo run --release --offline -p mmrepl-bench --bin router -- \
     --out "$FRESH" "$@"
 
 # Baselines must be measured with the invariant auditor compiled out —
-# perfsuite stamps the feature state into the document.
+# perfsuite stamps whether debug assertions (and so the audit hooks)
+# were on into the document.
 python3 - "$FRESH" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 if doc.get("audit_hooks", False):
-    print("error: perfsuite was built with --features audit; "
-          "perf baselines must be measured with auditing compiled out", file=sys.stderr)
+    print("error: perfsuite was built with debug assertions (audit hooks on); "
+          "perf baselines must be measured in release builds", file=sys.stderr)
     sys.exit(1)
 EOF
 

@@ -23,11 +23,7 @@ cargo test --release -q --offline -p mmrepl-core --lib -- \
 echo "==> cargo test (perfbench: its unit tests and correctness-gated smoke run)"
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> cargo test with invariant-audit hooks compiled in"
-cargo test -q --offline --features audit \
-    -p mmrepl-core -p mmrepl-online -p mmrepl-sim -p mmrepl-serve
-
-echo "==> differential-oracle fuzz smoke (deterministic seeds)"
+echo "==> differential-oracle fuzz smoke (deterministic seeds, audit hooks on)"
 cargo run --offline -p mmrepl-bench --bin fuzz -- --seeds 4
 
 echo "==> online bin smoke run (quick scale)"
@@ -92,7 +88,7 @@ print(f"  tree trace ok: {len(lines)} records, ancestor-selection span present")
 EOF
 
 echo "==> router smoke (audit-checked routing reports zero misroutes)"
-cargo run --offline -p mmrepl-cli --bin mmrepl --features audit -- \
+cargo run --offline -p mmrepl-cli --bin mmrepl -- \
     route --system "$SMOKE_OUT/tree.json" --storage 0.65 \
     --out "$SMOKE_OUT/route.json" >/dev/null
 python3 - "$SMOKE_OUT/route.json" <<'EOF'
@@ -109,7 +105,7 @@ print(f"  route ok: {doc['total']['requests']} requests, "
       f"{doc['total']['objects']} objects, 0 misroutes (audit-verified)")
 EOF
 
-echo "==> negotiation smoke (greedy/reliable cell == default plan, no protocol faults)"
+echo "==> negotiation smoke (greedy/reliable cell == default plan, no protocol faults, audit hooks on)"
 cargo run --offline -p mmrepl-cli --bin mmrepl -- \
     negotiate --central 0.1 --runs 2 --seed 11 \
     --out "$SMOKE_OUT/negotiate.json" >/dev/null
@@ -136,11 +132,8 @@ print(f"  negotiate ok: greedy/reliable matches the default plan over {runs} run
       f"{greedy[0]['rounds']:.1f} rounds")
 EOF
 
-echo "==> lossy negotiation smoke (termination + Eq. 8-10, audit hooks in)"
-cargo run --offline -p mmrepl-cli --bin mmrepl --features audit -- \
-    negotiate --central 0.1 --runs 2 --seed 11 \
-    --out "$SMOKE_OUT/negotiate-audit.json" >/dev/null
-python3 - "$SMOKE_OUT/negotiate-audit.json" <<'EOF'
+echo "==> lossy negotiation smoke (termination + Eq. 8-10 over the same grid)"
+python3 - "$SMOKE_OUT/negotiate.json" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 runs = doc["runs"]
