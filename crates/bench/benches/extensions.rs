@@ -1,11 +1,8 @@
 //! Criterion benches for the extension studies: cache-policy routers
-//! (LRU vs GreedyDual-Size vs LFU), the event-driven session simulation,
-//! and one epoch of the drift study.
+//! (LRU vs GreedyDual-Size vs LFU) and one epoch of the drift study.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mmrepl_baselines::{GdsRouter, LfuRouter, LruRouter};
-use mmrepl_model::{Bytes, BytesPerSec, Secs};
-use mmrepl_netsim::{simulate_page, ConnectionProfile, StreamPlan};
 use mmrepl_sim::{drift_study, replay_all, ExperimentConfig};
 use mmrepl_workload::{generate_trace, TraceConfig, WorkloadParams};
 use std::hint::black_box;
@@ -30,32 +27,6 @@ fn bench_cache_routers(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_session_simulation(c: &mut Criterion) {
-    let local = {
-        let mut s = StreamPlan::empty(ConnectionProfile::new(
-            Secs(1.5),
-            BytesPerSec::kib_per_sec(8.0),
-        ));
-        for i in 0..25 {
-            s.push(Bytes::kib(100 + i * 13));
-        }
-        s
-    };
-    let remote = {
-        let mut s = StreamPlan::empty(ConnectionProfile::new(
-            Secs(2.2),
-            BytesPerSec::kib_per_sec(1.0),
-        ));
-        for i in 0..8 {
-            s.push(Bytes::kib(60 + i * 7));
-        }
-        s
-    };
-    c.bench_function("session_event_simulation_33_objects", |b| {
-        b.iter(|| black_box(simulate_page(&local, &remote)))
-    });
-}
-
 fn bench_drift_epoch(c: &mut Criterion) {
     let mut g = c.benchmark_group("drift");
     g.sample_size(10);
@@ -68,10 +39,5 @@ fn bench_drift_epoch(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    extensions,
-    bench_cache_routers,
-    bench_session_simulation,
-    bench_drift_epoch
-);
+criterion_group!(extensions, bench_cache_routers, bench_drift_epoch);
 criterion_main!(extensions);

@@ -3,6 +3,7 @@
 
 use mmrepl_core::AncestorPolicy;
 use mmrepl_workload::TopologyParams;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
@@ -103,7 +104,9 @@ commands:
              scrape to DIR/scrape-N.prom.
 
 Fractions F scale the derived 100% points (full storage demand /
-all-local load / all-remote load), exactly like the paper's sweeps.
+all-local load / all-remote load), exactly like the paper's sweeps; F
+must be >= 0, and inf means unbounded. The objective weights A and B
+must be finite and >= 0. A subcommand rejects options it does not read.
 
 --trace-out FILE enables the same structured tracer around the planner /
 experiment run and writes its trace as JSON Lines to FILE.
@@ -408,13 +411,32 @@ impl Command {
     /// Parses an argv slice (without the program name).
     pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
         let (cmd, rest) = argv.split_first().ok_or("missing command")?;
-        let opts = parse_options(rest)?;
-        let take = |key: &str| opts.get(key).cloned();
+        // Every `take` consumes its key; whatever is left once the
+        // subcommand is built is an option it does not read.
+        let opts = RefCell::new(parse_options(rest)?);
+        let take = |key: &str| opts.borrow_mut().remove(key);
         let take_f64 = |key: &str| -> Result<Option<f64>, String> {
             take(key)
                 .map(|v| v.parse::<f64>().map_err(|e| format!("--{key}: {e}")))
                 .transpose()
         };
+        // Fractions and weights must be non-negative numbers; a fraction
+        // may be `inf` (unbounded), a weight must be finite.
+        let take_nonneg = |key: &str, allow_inf: bool| -> Result<Option<f64>, String> {
+            let v = take_f64(key)?;
+            match v {
+                Some(x) if x.is_nan() || x < 0.0 || (x.is_infinite() && !allow_inf) => {
+                    let what = if allow_inf {
+                        "a number >= 0"
+                    } else {
+                        "a finite number >= 0"
+                    };
+                    Err(format!("--{key} must be {what}, got {x}"))
+                }
+                _ => Ok(v),
+            }
+        };
+        let take_fraction = |key: &str| take_nonneg(key, true);
         let take_u64 = |key: &str, default: u64| -> Result<u64, String> {
             Ok(take(key)
                 .map(|v| v.parse::<u64>().map_err(|e| format!("--{key}: {e}")))
@@ -442,7 +464,7 @@ impl Command {
             Ok(v)
         };
 
-        match cmd.as_str() {
+        let command = match cmd.as_str() {
             "generate" => {
                 let mut topology = match take("topology").as_deref() {
                     None | Some("origin") => TopologyParams::origin(),
@@ -482,12 +504,12 @@ impl Command {
             }),
             "plan" => Ok(Command::Plan {
                 system: require_path("system")?,
-                storage: take_f64("storage")?,
-                processing: take_f64("processing")?,
-                central: take_f64("central")?,
+                storage: take_fraction("storage")?,
+                processing: take_fraction("processing")?,
+                central: take_fraction("central")?,
                 alpha: (
-                    take_f64("alpha1")?.unwrap_or(2.0),
-                    take_f64("alpha2")?.unwrap_or(1.0),
+                    take_nonneg("alpha1", false)?.unwrap_or(2.0),
+                    take_nonneg("alpha2", false)?.unwrap_or(1.0),
                 ),
                 ancestor: match take("ancestor").as_deref() {
                     None | Some("closest") => AncestorPolicy::Closest,
@@ -603,8 +625,8 @@ impl Command {
             "trace" => Ok(Command::Trace {
                 system: take("system").map(PathBuf::from),
                 seed: take_u64("seed", 0)?,
-                storage: take_f64("storage")?,
-                processing: take_f64("processing")?,
+                storage: take_fraction("storage")?,
+                processing: take_fraction("processing")?,
                 out: take("out")
                     .map(PathBuf::from)
                     .unwrap_or_else(|| PathBuf::from("trace.jsonl")),
@@ -612,15 +634,15 @@ impl Command {
             "compare" => Ok(Command::Compare {
                 system: require_path("system")?,
                 seed: take_u64("seed", 0)?,
-                storage: take_f64("storage")?,
-                processing: take_f64("processing")?,
+                storage: take_fraction("storage")?,
+                processing: take_fraction("processing")?,
             }),
             "route" => Ok(Command::Route {
                 system: require_path("system")?,
                 placement: take("placement").map(PathBuf::from),
                 seed: take_u64("seed", 0)?,
-                storage: take_f64("storage")?,
-                processing: take_f64("processing")?,
+                storage: take_fraction("storage")?,
+                processing: take_fraction("processing")?,
                 threads: take_usize("threads", 0)?,
                 out: take("out").map(PathBuf::from),
                 expose: take("expose"),
@@ -644,8 +666,8 @@ impl Command {
                     placement,
                     policy,
                     seed: take_u64("seed", 0)?,
-                    storage: take_f64("storage")?,
-                    processing: take_f64("processing")?,
+                    storage: take_fraction("storage")?,
+                    processing: take_fraction("processing")?,
                 })
             }
             "top" => Ok(Command::Top {
@@ -669,7 +691,11 @@ impl Command {
             }),
             "--help" | "-h" | "help" => Err(ParseError::Help),
             other => Err(ParseError::UnknownCommand(other.to_string())),
+        }?;
+        if let Some(key) = opts.borrow().keys().min() {
+            return Err(ParseError::Invalid(format!("{cmd} does not take --{key}")));
         }
+        Ok(command)
     }
 }
 
@@ -677,11 +703,14 @@ impl Command {
 const BOOL_FLAGS: &[&str] = &["paper", "inject"];
 
 /// Parses `--key value` pairs (and bare boolean flags), rejecting dangling
-/// or duplicate keys.
-fn parse_options(rest: &[String]) -> Result<HashMap<String, String>, String> {
+/// or duplicate keys. `--help` or `-h` anywhere asks for the usage text.
+fn parse_options(rest: &[String]) -> Result<HashMap<String, String>, ParseError> {
     let mut opts = HashMap::new();
     let mut it = rest.iter();
     while let Some(key) = it.next() {
+        if key == "--help" || key == "-h" {
+            return Err(ParseError::Help);
+        }
         let name = key
             .strip_prefix("--")
             .ok_or_else(|| format!("expected an option, got {key:?}"))?;
@@ -693,7 +722,7 @@ fn parse_options(rest: &[String]) -> Result<HashMap<String, String>, String> {
                 .clone()
         };
         if opts.insert(name.to_string(), value).is_some() {
-            return Err(format!("duplicate option --{name}"));
+            return Err(format!("duplicate option --{name}").into());
         }
     }
     Ok(opts)
@@ -1256,5 +1285,69 @@ mod tests {
             parse(&["frobnicate"]).unwrap_err().to_string(),
             "unknown command \"frobnicate\""
         );
+    }
+
+    #[test]
+    fn rejects_options_the_subcommand_does_not_read() {
+        let err = parse(&["plan", "--system", "s.json", "--storag", "0.5"]).unwrap_err();
+        assert_eq!(
+            err,
+            ParseError::Invalid("plan does not take --storag".into())
+        );
+        // An option valid elsewhere is still foreign here.
+        assert!(matches!(
+            parse(&["inspect", "--system", "s.json", "--seed", "1"]),
+            Err(ParseError::Invalid(msg)) if msg.contains("--seed")
+        ));
+        assert!(matches!(
+            parse(&["audit", "--paper"]),
+            Err(ParseError::Invalid(msg)) if msg.contains("--paper")
+        ));
+    }
+
+    #[test]
+    fn help_after_a_subcommand_asks_for_usage() {
+        for words in [
+            &["plan", "--help"][..],
+            &["plan", "-h"],
+            &["route", "--system", "s.json", "--help"],
+            &["generate", "--seed", "1", "-h"],
+        ] {
+            assert_eq!(parse(words), Err(ParseError::Help), "{words:?}");
+        }
+    }
+
+    #[test]
+    fn rejects_bad_fractions_and_weights() {
+        let invalid = |words: &[&str]| matches!(parse(words), Err(ParseError::Invalid(_)));
+        for cmd in ["plan", "route", "compare", "evaluate", "trace"] {
+            for flag in ["--storage", "--processing"] {
+                for bad in ["nan", "-1", "-0.5", "-inf"] {
+                    let mut words = vec![cmd, "--system", "s.json", flag, bad];
+                    if cmd == "evaluate" {
+                        words.extend(["--policy", "ours"]);
+                    }
+                    assert!(invalid(&words), "{words:?}");
+                }
+                // `inf` still means unbounded.
+                let mut words = vec![cmd, "--system", "s.json", flag, "inf"];
+                if cmd == "evaluate" {
+                    words.extend(["--policy", "ours"]);
+                }
+                assert!(parse(&words).is_ok(), "{words:?}");
+            }
+        }
+        for bad in ["nan", "-1"] {
+            assert!(invalid(&["plan", "--system", "s.json", "--central", bad]));
+        }
+        for flag in ["--alpha1", "--alpha2"] {
+            for bad in ["nan", "-1", "inf"] {
+                assert!(invalid(&["plan", "--system", "s.json", flag, bad]));
+            }
+        }
+        assert!(matches!(
+            parse(&["plan", "--system", "s.json", "--alpha1", "0", "--central", "inf"]),
+            Ok(Command::Plan { alpha: (a1, _), central: Some(c), .. }) if a1 == 0.0 && c.is_infinite()
+        ));
     }
 }

@@ -365,7 +365,7 @@ pub(crate) fn hook(work: &SiteWork<'_>, stage: AuditStage) {
 }
 
 /// Checks the per-site feasibility constraints against the *recomputable*
-/// state: Eq. 8 (`load ≤ C(S_i)`, within [`CONSTRAINT_EPS`]) and Eq. 10
+/// state: Eq. 8 (`load ≤ C(S_i)`, within `CONSTRAINT_EPS` = 1e-6) and Eq. 10
 /// (`storage used ≤ Size(S_i)`, exact). Call at stage boundaries where
 /// the stage report claims feasibility.
 pub fn check_site_constraints(
@@ -397,7 +397,7 @@ pub fn check_site_constraints(
 }
 
 /// Checks Eq. 9: the aggregate repository request load of all sites must
-/// not exceed `C(R)` (within [`CONSTRAINT_EPS`]).
+/// not exceed `C(R)` (within `CONSTRAINT_EPS` = 1e-6).
 pub fn check_repo_constraint(
     works: &[SiteWork<'_>],
     repo_capacity: f64,

@@ -9,7 +9,7 @@
 //! report protocol cost (messages, rounds, elapsed control-plane time).
 //!
 //! The bus is also the **fault-injection surface** for the asynchronous
-//! negotiation (`mmrepl_core::negotiate`): a seeded [`FaultConfig`] makes
+//! negotiation ([`crate::negotiate`]): a seeded [`FaultConfig`] makes
 //! it drop, duplicate, reorder and jitter messages deterministically, and
 //! [`BusStats`] counts every fate so accounting closes exactly:
 //!

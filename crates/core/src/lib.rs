@@ -31,7 +31,10 @@
 //!    configuration (greedy rounds over a reliable bus) is the paper's
 //!    stage 4, and seeded bus faults and alternative strategies are knobs
 //!    on the same run; [`offload`] holds the round arithmetic and the
-//!    site-side absorption it shares.
+//!    site-side absorption it shares. The control plane it runs on is
+//!    [`bus`], a seeded fault-injecting message bus over the
+//!    deterministic [`event`] queue (which the simulator's event-driven
+//!    replay reuses).
 //!
 //! [`planner::ReplicationPolicy`] glues the stages together and returns the
 //! final [`mmrepl_model::Placement`] plus a [`planner::PlanReport`] of what
@@ -56,7 +59,9 @@
 
 pub mod audit;
 pub mod bits;
+pub mod bus;
 pub mod capacity;
+pub mod event;
 pub mod lazyheap;
 pub mod negotiate;
 pub mod offload;
@@ -74,7 +79,9 @@ pub use audit::{
     AuditStage, Divergence,
 };
 pub use bits::DenseBits;
+pub use bus::{BusStats, FaultConfig};
 pub use capacity::{restore_capacity, CapacityReport};
+pub use event::{EventQueue, SimTime};
 pub use lazyheap::LazyMinHeap;
 pub use negotiate::{
     run_negotiation, NegotiateConfig, NegotiateMsg, NegotiateOutcome, NegotiateReport, StrategyKind,

@@ -1,7 +1,7 @@
 //! The off-loading protocol: `OFF_LOADING_REPOSITORY` as typed
-//! proposal/counter-proposal messages over the netsim control plane,
-//! robust to the bus's seeded fault injection
-//! ([`mmrepl_netsim::FaultConfig`]). With the default configuration —
+//! proposal/counter-proposal messages over the [`crate::bus`] control
+//! plane, robust to the bus's seeded fault injection
+//! ([`crate::bus::FaultConfig`]). With the default configuration —
 //! greedy strategy, reliable bus — it is the paper's stage 4, which the
 //! planner and [`crate::offload::run_offload`] run.
 //!
@@ -60,6 +60,8 @@
 //! On the reliable bus one round's offers form one batch; fault injection
 //! only splits batches.
 
+use crate::bus::{BusStats, Endpoint, Envelope, FaultConfig, MessageBus};
+use crate::event::SimTime;
 use crate::offload::{
     absorb_workload, classify, paper_round_plan, status_of, AbsorbResult, AssignmentRule,
     OffloadConfig, OffloadReport, RoundPlan, StatusReport, BUS_LATENCY, EPS, MAX_ROUNDS, MAX_SWAPS,
@@ -67,7 +69,6 @@ use crate::offload::{
 use crate::pool::parallel_map;
 use crate::state::SiteWork;
 use mmrepl_model::{Secs, SiteId};
-use mmrepl_netsim::{BusStats, Endpoint, Envelope, FaultConfig, MessageBus, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::sync::Mutex;

@@ -13,7 +13,7 @@
 //! The caller always participates in its own dispatch and blocks until
 //! every worker that picked the job up has finished, which is what makes
 //! it sound to lend the workers borrows from the caller's stack frame
-//! (the lifetime erasure in [`Pool::scoped`]). Nested calls from inside a
+//! (the lifetime erasure in `Pool::scoped`). Nested calls from inside a
 //! pool worker run sequentially instead of dispatching again: a worker
 //! that blocked waiting on sub-tickets could deadlock the pool if every
 //! worker did so at once.

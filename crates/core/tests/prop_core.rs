@@ -3,15 +3,16 @@
 //! with a from-scratch recomputation, and the restoration stages must
 //! deliver what they claim for arbitrary constraint tightness.
 
+use mmrepl_core::bus::{Endpoint, MessageBus};
 use mmrepl_core::{
     audit_site, check_repo_constraint, check_site_constraints, partition_all, restore_capacity,
-    restore_storage, run_negotiation, run_offload, AncestorPolicy, AuditStage, NegotiateConfig,
-    OffloadConfig, PlannerConfig, ReplicationPolicy, SiteWork, StrategyKind,
+    restore_storage, run_negotiation, run_offload, AncestorPolicy, AuditStage, EventQueue,
+    FaultConfig, NegotiateConfig, OffloadConfig, PlannerConfig, ReplicationPolicy, SimTime,
+    SiteWork, StrategyKind,
 };
 use mmrepl_model::{
     ConstraintReport, CostParams, IdVec, NodeId, ReqPerSec, Secs, SiteId, Topology,
 };
-use mmrepl_netsim::FaultConfig;
 use mmrepl_workload::{generate_system, TopologyParams, WorkloadParams};
 use proptest::prelude::*;
 
@@ -572,5 +573,75 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// Events always pop in non-decreasing time order, with FIFO ties.
+    #[test]
+    fn event_queue_orders_any_schedule(times in prop::collection::vec(0.0f64..100.0, 1..100)) {
+        let mut q = EventQueue::new();
+        for (i, &t) in times.iter().enumerate() {
+            q.schedule(SimTime::new(t), i);
+        }
+        let mut last_t = -1.0;
+        let mut seen_at_time: Vec<usize> = Vec::new();
+        let mut last_time = f64::NAN;
+        while let Some((t, i)) = q.pop() {
+            prop_assert!(t.get() >= last_t);
+            if t.get() == last_time {
+                // FIFO among equal times: indices ascend.
+                prop_assert!(seen_at_time.last().is_none_or(|&p| p < i));
+            } else {
+                seen_at_time.clear();
+                last_time = t.get();
+            }
+            seen_at_time.push(i);
+            last_t = t.get();
+        }
+        prop_assert_eq!(q.processed() as usize, times.len());
+    }
+
+    /// Bus fault accounting closes at every observation point across
+    /// arbitrary send/deliver interleavings and fault mixes.
+    ///
+    /// Ledger algebra: each `send` yields one scheduled envelope (or none,
+    /// if dropped), a duplication fault yields one *extra* envelope, and
+    /// every scheduled envelope is eventually delivered or still pending —
+    /// so `sent + duplicated_extra == delivered + dropped + in_flight`.
+    /// Every arriving copy counts in `delivered` (receivers dedup by
+    /// `seq`), so the extra copies sit on the left-hand side.
+    #[test]
+    fn bus_accounting_closes_under_faults(
+        seed in any::<u64>(),
+        drop in 0.0f64..0.9,
+        duplicate in 0.0f64..0.9,
+        reorder in 0.0f64..0.9,
+        jitter in 0.0f64..0.5,
+        // true = send a message, false = deliver one (no-op when empty).
+        ops in prop::collection::vec(any::<bool>(), 1..200),
+    ) {
+        let faults = FaultConfig { drop, duplicate, reorder, jitter: Secs(jitter), seed };
+        let mut bus: MessageBus<u32> = MessageBus::with_faults(Secs(0.1), faults);
+        let check = |bus: &MessageBus<u32>| {
+            let st = bus.stats();
+            st.sent + st.duplicated_extra == st.delivered + st.dropped + bus.in_flight() as u64
+        };
+        let mut payload = 0u32;
+        for op in ops {
+            if op {
+                payload += 1;
+                let from = Endpoint::Site(SiteId::new(payload % 5));
+                bus.send(from, Endpoint::Repository, payload);
+            } else {
+                let _ = bus.deliver_next();
+            }
+            prop_assert!(check(&bus), "ledger open mid-stream: {:?} + {} in flight",
+                bus.stats(), bus.in_flight());
+        }
+        // Drain to quiescence: the ledger must close with in_flight = 0,
+        // and a fuel-bounded drain with no reply handler always finishes.
+        let left = bus.drain(usize::MAX, |_, _| {});
+        prop_assert_eq!(left, 0);
+        let st = bus.stats();
+        prop_assert_eq!(st.sent + st.duplicated_extra, st.delivered + st.dropped);
     }
 }

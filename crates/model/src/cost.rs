@@ -4,9 +4,10 @@
 //! `D = α1·D1 + α2·D2`).
 //!
 //! All times here are computed from the *estimated* rates and overheads
-//! stored in [`Site`](crate::Site) — this is the planner's view. The
-//! simulator in `mmrepl-sim` re-evaluates the same expressions with
-//! per-request perturbed values to measure what users actually experience.
+//! stored in [`Site`] — this is the planner's view. The request pricer
+//! in `mmrepl-workload` (`price::RequestStreams`) re-evaluates the same
+//! expressions with per-request perturbed values to measure what users
+//! actually experience.
 //!
 //! ## A note on Eq. 4's constant term
 //!

@@ -1,8 +1,9 @@
 //! Log-spaced histogram.
 //!
 //! The one histogram implementation shared by the whole workspace:
-//! `netsim::metrics` re-exports it for response-time percentiles, and the
-//! [`crate::Recorder`] uses it for traced value distributions. Buckets
+//! `mmrepl-workload`'s `ResponseStats` keeps response-time percentiles in
+//! it, and the [`crate::Recorder`] uses it for traced value
+//! distributions. Buckets
 //! are geometric, so a few hundred of them give ~2 % relative resolution
 //! over five decades — the right trade for positive, heavy-tailed
 //! quantities like response times and absorbed workloads.

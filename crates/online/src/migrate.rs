@@ -14,16 +14,19 @@
 //!   local **and** the replica has already arrived — until then it falls
 //!   back to the repository stream.
 //!
-//! With an empty queue this replay is request-for-request identical to the
-//! offline replayer in `mmrepl-sim` (pinned by a cross-crate test there),
-//! so online and offline response series are directly comparable.
+//! Each request is priced by the workspace's one request pricer,
+//! [`RequestStreams`]; this module supplies only what differs online: the
+//! residency-gated locality predicate and the `(1 − φ)` repository share
+//! while a migration is in flight. With an empty queue this replay is
+//! therefore request-for-request identical to the offline replayer in
+//! `mmrepl-sim` (pinned by a cross-crate test there), so online and
+//! offline response series are directly comparable.
 
 use std::collections::VecDeque;
 
 use crate::delta::SiteMigration;
 use mmrepl_model::{Bytes, ObjectId, Placement, Secs, SiteId, StoredSet, System};
-use mmrepl_netsim::{ConnectionProfile, ResponseStats};
-use mmrepl_workload::{events_of, Request};
+use mmrepl_workload::{events_of, Request, RequestStreams, ResponseStats};
 use serde::{Deserialize, Serialize};
 
 /// Migration bandwidth policy.
@@ -265,88 +268,34 @@ pub fn replay_window(
     for ev in events_of(requests, window) {
         out.migrated_bytes += queue.advance(mig_rate * (ev.t.get() - last_t));
         last_t = ev.t.get();
-        let contended = queue.active();
-        if contended {
+        // While the queue drains, foreground fetches get the rest of the
+        // repository link.
+        let share = if queue.active() {
             out.contended_requests += 1;
+            1.0 - cfg.bandwidth_frac
+        } else {
+            1.0
+        };
+        // An object serves locally only once its replica has arrived.
+        let req = ev.request;
+        let row = placement.partition(req.page);
+        let streams = RequestStreams::new(system, site, req, share, |slot, k| {
+            row.local_compulsory[slot] && queue.is_resident(k)
+        });
+        out.local_objects += streams.local_objects as u64;
+        out.remote_objects += streams.remote_objects as u64;
+        out.pages.record(streams.page_time(Secs::ZERO, Secs::ZERO));
+        if !req.optional_slots.is_empty() {
+            let (total, n_local) = streams.optional_time(system, req, |i, k| {
+                row.local_optional[req.optional_slots[i] as usize] && queue.is_resident(k)
+            });
+            out.local_objects += n_local as u64;
+            out.remote_objects += (req.optional_slots.len() - n_local) as u64;
+            out.optional.record(total);
         }
-        serve_request(
-            system, site, ev.request, placement, queue, contended, cfg, &mut out,
-        );
     }
     out.migrated_bytes += queue.advance(mig_rate * (window.get() - last_t));
     out
-}
-
-/// Serves one request: the `mmrepl-sim` pricing (two pipelined parallel
-/// streams, Eq. 5; per-fetch optional connections, Eq. 6) with routing
-/// gated on physical residency and the remote link derated by φ while a
-/// migration is in flight.
-#[allow(clippy::too_many_arguments)]
-fn serve_request(
-    system: &System,
-    site: &mmrepl_model::Site,
-    req: &Request,
-    placement: &Placement,
-    queue: &MigrationQueue,
-    contended: bool,
-    cfg: &MigrateConfig,
-    out: &mut OnlineReplayOutcome,
-) {
-    let page = system.page(req.page);
-    let c = &req.conditions;
-    let row = placement.partition(req.page);
-
-    let local = ConnectionProfile::new(
-        site.local_ovhd * c.local_ovhd_factor,
-        site.local_rate.scale(c.local_rate_factor),
-    );
-    let foreground = if contended {
-        1.0 - cfg.bandwidth_frac
-    } else {
-        1.0
-    };
-    let remote = ConnectionProfile::new(
-        site.repo_ovhd * c.repo_ovhd_factor,
-        site.repo_rate.scale(c.repo_rate_factor * foreground),
-    );
-
-    // The two compulsory streams as running byte totals and counts; the
-    // local one carries the HTML.
-    let (mut local_bytes, mut local_n) = (page.html_size, 1);
-    let (mut remote_bytes, mut remote_n) = (Bytes::ZERO, 0);
-    for (slot, &k) in page.compulsory.iter().enumerate() {
-        let size = system.object_size(k);
-        if row.local_compulsory[slot] && queue.is_resident(k) {
-            local_bytes += size;
-            local_n += 1;
-            out.local_objects += 1;
-        } else {
-            remote_bytes += size;
-            remote_n += 1;
-            out.remote_objects += 1;
-        }
-    }
-    out.pages.record(
-        local
-            .stream_time(local_bytes, local_n)
-            .max(remote.stream_time(remote_bytes, remote_n)),
-    );
-
-    if !req.optional_slots.is_empty() {
-        let mut total = Secs::ZERO;
-        for &slot in &req.optional_slots {
-            let k = page.optional[slot as usize].object;
-            let size = system.object_size(k);
-            if row.local_optional[slot as usize] && queue.is_resident(k) {
-                total += local.single_fetch(size);
-                out.local_objects += 1;
-            } else {
-                total += remote.single_fetch(size);
-                out.remote_objects += 1;
-            }
-        }
-        out.optional.record(total);
-    }
 }
 
 #[cfg(test)]

@@ -2,21 +2,21 @@
 //!
 //! The production replay sorts the arrival schedule and walks it. This
 //! module runs the same FIFO rules ([`crate::queueing`]'s arrival schedule
-//! and servers) through the `mmrepl-netsim` event queue instead — every
+//! and servers) through the [`mmrepl_core::EventQueue`] instead — every
 //! page request is an arrival event popped in `(time, insertion)` order —
-//! and checks each request's session timeline from
-//! [`mmrepl_netsim::simulate_page`] against the byte-total stream
-//! arithmetic. Both loops see requests in (time, site, request) order, so
-//! their page statistics must agree exactly, which the tests below
-//! assert; oracle 3 of [`crate::differential`] checks this replay against
-//! Eq. 5.
+//! and checks each request's event-driven session from
+//! [`crate::session::simulate_page`] against the byte-total stream
+//! arithmetic of the request pricer ([`RequestStreams`]). Both loops see
+//! requests in (time, site, request) order, so their page statistics must
+//! agree exactly, which the tests below assert; oracle 3 of
+//! [`crate::differential`] checks this replay against Eq. 5.
 
 use crate::queueing::{arrivals, FifoServers};
-use crate::replay::RequestStreams;
+use crate::session::{simulate_page, StreamPlan};
 use mmrepl_baselines::{RequestRouter, RouteDecision};
+use mmrepl_core::EventQueue;
 use mmrepl_model::{Secs, System};
-use mmrepl_netsim::{simulate_page, EventQueue, ResponseStats, StreamPlan};
-use mmrepl_workload::SiteTrace;
+use mmrepl_workload::{RequestStreams, ResponseStats, SiteTrace};
 
 /// Runs the event-driven replay over all traces and returns the page
 /// response times (queueing waits included) and the number of events
@@ -41,11 +41,13 @@ pub(crate) fn des_replay(
         let trace = &traces[si];
         let req = &trace.requests[ri];
         router.route(system, req.page, &req.optional_slots, &mut decision);
-        let streams = RequestStreams::new(system, system.site(trace.site), req, &decision);
+        let streams = RequestStreams::new(system, system.site(trace.site), req, 1.0, |slot, _| {
+            decision.local_compulsory[slot]
+        });
         let (site_wait, repo_wait) = servers.admit(si, now, &streams, &decision);
 
         // Simulate the session event by event over the full payload lists
-        // and check it against the byte-total stream arithmetic.
+        // and check it against the pricer's byte-total stream arithmetic.
         let page = system.page(req.page);
         let mut local_stream = StreamPlan::empty(streams.local);
         local_stream.push(page.html_size);
@@ -58,12 +60,12 @@ pub(crate) fn des_replay(
             };
             stream.push(system.object_size(k));
         }
-        let timeline = simulate_page(&local_stream, &remote_stream);
+        let page_done = simulate_page(&local_stream, &remote_stream);
         let unqueued = streams.page_time(Secs::ZERO, Secs::ZERO);
         assert!(
-            (timeline.page_done.get() - unqueued.get()).abs() < 1e-9,
+            (page_done.get() - unqueued.get()).abs() < 1e-9,
             "session events disagree with stream arithmetic: {} vs {}",
-            timeline.page_done.get(),
+            page_done.get(),
             unqueued.get()
         );
 

@@ -10,7 +10,7 @@
 //!
 //! 1. **dense planner ≡ naive reference** — [`reference_plan`] re-runs the
 //!    whole pipeline (partition → storage → capacity → off-loading) on a
-//!    [`RefSite`] that keeps only the partition rows and a stored-object
+//!    `RefSite` that keeps only the partition rows and a stored-object
 //!    set, recomputing streams, loads, storage and mark counts by full
 //!    scans on every query. The greedy keys are bit-identical by
 //!    construction (they read only exact integer stream totals and fresh

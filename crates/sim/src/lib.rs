@@ -12,7 +12,7 @@
 //!   One request loop serves both wait models: [`replay_all`] charges no
 //!   waits, [`queueing_replay`] charges FIFO waits;
 //! * [`queueing`] — the FIFO rules of the queueing extension (arrival
-//!   schedule and `mmrepl-netsim` capacity servers): the paper treats
+//!   schedule and deterministic FIFO capacity servers): the paper treats
 //!   capacity as a planning constraint only; this quantifies what
 //!   overload would actually cost;
 //! * [`experiment`] — the Figure 1/2/3 sweeps: N independent runs
@@ -65,6 +65,8 @@ pub mod negotiate;
 pub mod online;
 pub mod queueing;
 pub mod replay;
+mod server;
+mod session;
 pub mod updates;
 
 pub use breakdown::{breakdown_table, site_breakdown, SiteReport};

@@ -20,8 +20,9 @@
 //! and resilience counters (retries, timeouts, degraded sites).
 
 use crate::experiment::ExperimentConfig;
-use mmrepl_core::{parallel_map, NegotiateConfig, PlannerConfig, ReplicationPolicy, StrategyKind};
-use mmrepl_netsim::FaultConfig;
+use mmrepl_core::{
+    parallel_map, FaultConfig, NegotiateConfig, PlannerConfig, ReplicationPolicy, StrategyKind,
+};
 use serde::{Deserialize, Serialize};
 
 /// Fault scenarios in the study grid.

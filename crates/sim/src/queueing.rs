@@ -13,11 +13,12 @@
 //! the FIFO rules it adds — the arrival schedule and the servers — which
 //! the crate's event-driven oracle reuses.
 
-use crate::replay::{replay, traced, ReplayOutcome, RequestStreams};
+use crate::replay::{replay, traced, ReplayOutcome};
+use crate::server::QueueingServer;
 use mmrepl_baselines::{RequestRouter, RouteDecision};
+use mmrepl_core::SimTime;
 use mmrepl_model::{Secs, System};
-use mmrepl_netsim::{QueueingServer, SimTime};
-use mmrepl_workload::SiteTrace;
+use mmrepl_workload::{RequestStreams, SiteTrace};
 
 /// Replays all traces with FIFO queueing waits charged. Arrival times
 /// interleave across sites: request `i` at site `s` arrives at
@@ -95,9 +96,8 @@ impl FifoServers {
         let n_opt_remote = decision.local_optional.len() - n_opt_local;
         let local_http = streams.local_objects + 1 + n_opt_local;
         let remote_http = streams.remote_objects + n_opt_remote;
-        let site_wait = self.sites[si].admit(arrival, local_http as f64).wait;
-        let repo_wait =
-            (remote_http > 0).then(|| self.repo.admit(arrival, remote_http as f64).wait);
+        let site_wait = self.sites[si].admit(arrival, local_http as f64);
+        let repo_wait = (remote_http > 0).then(|| self.repo.admit(arrival, remote_http as f64));
         (site_wait, repo_wait)
     }
 }

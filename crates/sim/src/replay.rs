@@ -2,10 +2,10 @@
 //!
 //! Every request in a [`SiteTrace`] is served under its own perturbed
 //! conditions (Section 5.1): the router decides where each object comes
-//! from, the two streams are priced with the *actual* rates/overheads via
-//! the shared `mmrepl-netsim` transfer arithmetic, and the response time
-//! (Eq. 5) plus any optional-fetch time (Eq. 6 realized, not expected)
-//! are recorded.
+//! from, [`RequestStreams`] — the workspace's one request pricer — prices
+//! the two streams with the *actual* rates/overheads, and the response
+//! time (Eq. 5) plus any optional-fetch time (Eq. 6 realized, not
+//! expected) are recorded.
 //!
 //! The same replayer serves every policy: static placements ride
 //! [`mmrepl_baselines::StaticRouter`], LRU carries its cache state between
@@ -16,14 +16,14 @@
 //!
 //! The hot loop allocates nothing per request: each replay holds one
 //! [`RouteDecision`] buffer that the router refills, and the compulsory
-//! streams are priced from running byte totals (`RequestStreams`)
-//! rather than from per-request payload lists.
+//! streams are priced from running byte totals rather than from
+//! per-request payload lists.
 
 use crate::queueing::FifoServers;
 use mmrepl_baselines::{RequestRouter, RouteDecision};
-use mmrepl_model::{Bytes, Secs, Site, System};
-use mmrepl_netsim::{ConnectionProfile, ResponseStats, SimTime};
-use mmrepl_workload::{Request, SiteTrace};
+use mmrepl_core::SimTime;
+use mmrepl_model::{Secs, System};
+use mmrepl_workload::{RequestStreams, ResponseStats, SiteTrace};
 use serde::{Deserialize, Serialize};
 
 /// Aggregated replay results.
@@ -82,78 +82,6 @@ impl ReplayOutcome {
         } else {
             self.local_objects as f64 / total as f64
         }
-    }
-}
-
-/// One routed request's compulsory phase: two pipelined streams kept as
-/// byte totals and object counts. The local stream carries the HTML plus
-/// every locally-served compulsory object, the repository stream the
-/// rest. Shared by the replay loop and the DES oracle so both price a
-/// request identically.
-pub(crate) struct RequestStreams {
-    /// The request's actual local-server connection.
-    pub local: ConnectionProfile,
-    /// The request's actual repository connection.
-    pub remote: ConnectionProfile,
-    local_bytes: Bytes,
-    /// Compulsory objects served locally (the HTML not counted).
-    pub local_objects: usize,
-    remote_bytes: Bytes,
-    /// Compulsory objects served by the repository.
-    pub remote_objects: usize,
-}
-
-impl RequestStreams {
-    /// Splits `req`'s page by `decision` under the request's perturbed
-    /// connection conditions at `site`.
-    pub fn new(system: &System, site: &Site, req: &Request, decision: &RouteDecision) -> Self {
-        let page = system.page(req.page);
-        let c = &req.conditions;
-        let mut streams = RequestStreams {
-            local: ConnectionProfile::new(
-                site.local_ovhd * c.local_ovhd_factor,
-                site.local_rate.scale(c.local_rate_factor),
-            ),
-            remote: ConnectionProfile::new(
-                site.repo_ovhd * c.repo_ovhd_factor,
-                site.repo_rate.scale(c.repo_rate_factor),
-            ),
-            local_bytes: page.html_size,
-            local_objects: 0,
-            remote_bytes: Bytes::ZERO,
-            remote_objects: 0,
-        };
-        debug_assert_eq!(decision.local_compulsory.len(), page.compulsory.len());
-        for (&k, &local) in page.compulsory.iter().zip(&decision.local_compulsory) {
-            let size = system.object_size(k);
-            if local {
-                streams.local_bytes += size;
-                streams.local_objects += 1;
-            } else {
-                streams.remote_bytes += size;
-                streams.remote_objects += 1;
-            }
-        }
-        streams
-    }
-
-    /// Completion time of the local stream (never empty: it carries the
-    /// HTML).
-    pub fn local_time(&self) -> Secs {
-        self.local
-            .stream_time(self.local_bytes, self.local_objects + 1)
-    }
-
-    /// Completion time of the repository stream; zero when it is empty.
-    pub fn remote_time(&self) -> Secs {
-        self.remote
-            .stream_time(self.remote_bytes, self.remote_objects)
-    }
-
-    /// The page response (Eq. 5) when each stream first waits its
-    /// server's queue; zero waits give Eq. 5 exactly.
-    pub fn page_time(&self, site_wait: Secs, repo_wait: Secs) -> Secs {
-        (site_wait + self.local_time()).max(repo_wait + self.remote_time())
     }
 }
 
@@ -224,9 +152,15 @@ pub(crate) fn replay(
         let req = &trace.requests[ri];
         let site = system.site(trace.site);
         router.route(system, req.page, &req.optional_slots, &mut decision);
+        debug_assert_eq!(
+            decision.local_compulsory.len(),
+            system.page(req.page).compulsory.len()
+        );
 
         // Compulsory phase: two pipelined parallel streams (Eq. 5).
-        let streams = RequestStreams::new(system, site, req, &decision);
+        let streams = RequestStreams::new(system, site, req, 1.0, |slot, _| {
+            decision.local_compulsory[slot]
+        });
         out.local_objects += streams.local_objects as u64;
         out.remote_objects += streams.remote_objects as u64;
         let (site_wait, repo_wait) = match fifo.as_deref_mut() {
@@ -244,18 +178,10 @@ pub(crate) fn replay(
 
         // Optional phase: each fetch opens its own connection (Eq. 6).
         if !req.optional_slots.is_empty() {
-            let page = system.page(req.page);
-            let mut total = Secs::ZERO;
-            for (&slot, &local) in req.optional_slots.iter().zip(&decision.local_optional) {
-                let size: Bytes = system.object_size(page.optional[slot as usize].object);
-                if local {
-                    total += streams.local.single_fetch(size);
-                    out.local_objects += 1;
-                } else {
-                    total += streams.remote.single_fetch(size);
-                    out.remote_objects += 1;
-                }
-            }
+            let (total, n_local) =
+                streams.optional_time(system, req, |i, _| decision.local_optional[i]);
+            out.local_objects += n_local as u64;
+            out.remote_objects += (req.optional_slots.len() - n_local) as u64;
             out.optional.record(total);
         }
     }

@@ -21,7 +21,12 @@
 //! * [`sampling`] — an O(1) alias-method sampler for frequency-weighted
 //!   page selection (100,000 draws per experiment run);
 //! * [`drift`] — the "breaking news" hot-set rotation backing the
-//!   replanning study (extension of Section 4.1).
+//!   replanning study (extension of Section 4.1);
+//! * [`price`] — the one request pricer every replay uses: Eq. 5's two
+//!   parallel pipelined streams and Eq. 6's per-fetch optional
+//!   connections under each request's perturbed conditions, over the
+//!   [`transfer`] connection arithmetic; [`metrics`] accumulates the
+//!   priced response times in mergeable statistics.
 //!
 //! Everything is deterministic given a seed: the same `(params, seed)` pair
 //! reproduces the same system and the same trace, which the experiment
@@ -46,15 +51,21 @@
 pub mod config;
 pub mod drift;
 pub mod generator;
+pub mod metrics;
 pub mod perturb;
+pub mod price;
 pub mod sampling;
 pub mod trace;
+pub mod transfer;
 
 pub use config::{Range, TopologyParams, WorkloadParams};
 pub use drift::DriftModel;
 pub use generator::generate_system;
+pub use metrics::ResponseStats;
 pub use perturb::{PerturbModel, RequestConditions};
+pub use price::RequestStreams;
 pub use sampling::AliasTable;
 pub use trace::{
     events_of, generate_site_trace, generate_trace, Request, SiteTrace, TraceConfig, TraceEvent,
 };
+pub use transfer::ConnectionProfile;

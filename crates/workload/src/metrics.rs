@@ -9,13 +9,8 @@
 //! hundred buckets).
 
 use mmrepl_model::Secs;
+use mmrepl_obs::Histogram;
 use serde::{Deserialize, Serialize};
-
-// One histogram implementation for the whole workspace: the log-spaced
-// design this module introduced now lives in `mmrepl-obs` (the tracing
-// layer records into the same type), re-exported here so existing users
-// keep their import path.
-pub use mmrepl_obs::Histogram;
 
 /// Streaming response-time statistics: count, mean, variance (Welford),
 /// min/max, and a histogram for percentiles.

@@ -1,8 +1,10 @@
-//! Property tests for the workload generator and its samplers.
+//! Property tests for the workload generator, its samplers, the
+//! connection arithmetic and the response-time statistics.
 
+use mmrepl_model::{Bytes, BytesPerSec, Secs};
 use mmrepl_workload::{
-    generate_system, generate_trace, sampling, AliasTable, DriftModel, PerturbModel, TraceConfig,
-    WorkloadParams,
+    generate_system, generate_trace, sampling, AliasTable, ConnectionProfile, DriftModel,
+    PerturbModel, ResponseStats, TraceConfig, WorkloadParams,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -122,5 +124,74 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// Merging split accumulators equals accumulating sequentially,
+    /// regardless of the split.
+    #[test]
+    fn stats_merge_is_split_invariant(
+        values in prop::collection::vec(0.001f64..10_000.0, 1..200),
+        split in any::<u64>(),
+    ) {
+        let mut whole = ResponseStats::new();
+        let mut a = ResponseStats::new();
+        let mut b = ResponseStats::new();
+        for (i, &v) in values.iter().enumerate() {
+            whole.record(Secs(v));
+            if (split >> (i % 64)) & 1 == 0 {
+                a.record(Secs(v));
+            } else {
+                b.record(Secs(v));
+            }
+        }
+        a.merge(&b);
+        prop_assert_eq!(a.count(), whole.count());
+        let (am, wm) = (a.mean().unwrap().get(), whole.mean().unwrap().get());
+        prop_assert!((am - wm).abs() <= 1e-9 * wm.max(1.0));
+        prop_assert_eq!(a.min(), whole.min());
+        prop_assert_eq!(a.max(), whole.max());
+        if values.len() > 1 {
+            let (asd, wsd) = (a.std_dev().unwrap(), whole.std_dev().unwrap());
+            prop_assert!((asd - wsd).abs() <= 1e-6 * wsd.max(1.0));
+        }
+    }
+
+    /// Quantiles are monotone in q and bracketed by min/max.
+    #[test]
+    fn quantiles_monotone(values in prop::collection::vec(0.01f64..5_000.0, 1..300)) {
+        let mut s = ResponseStats::new();
+        for &v in &values {
+            s.record(Secs(v));
+        }
+        let qs = [0.0, 0.25, 0.5, 0.75, 0.95, 1.0];
+        let mut last = 0.0;
+        for &q in &qs {
+            let v = s.quantile(q).unwrap().get();
+            prop_assert!(v >= last, "q{} = {} < {}", q, v, last);
+            last = v;
+        }
+    }
+
+    /// Pipelining payloads on one connection is never slower than the sum
+    /// of independent fetches (overhead paid once vs n times) and never
+    /// faster than the pure transfer time.
+    #[test]
+    fn pipeline_bounds(
+        ovhd in 0.0f64..5.0,
+        rate in 0.1f64..100.0,
+        sizes in prop::collection::vec(1u64..5_000_000, 1..30),
+    ) {
+        let profile = ConnectionProfile::new(Secs(ovhd), BytesPerSec(rate * 1024.0));
+        let payloads: Vec<Bytes> = sizes.iter().map(|&s| Bytes(s)).collect();
+        let pipelined = profile
+            .stream_time(payloads.iter().copied().sum(), payloads.len())
+            .get();
+        let independent: f64 = payloads
+            .iter()
+            .map(|&p| profile.single_fetch(p).get())
+            .sum();
+        let pure: f64 = payloads.iter().map(|&p| profile.transfer_time(p).get()).sum();
+        prop_assert!(pipelined <= independent + 1e-9);
+        prop_assert!(pipelined + 1e-9 >= pure);
     }
 }

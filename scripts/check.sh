@@ -10,6 +10,13 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (workspace, -D warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> rustdoc (every mmrepl* package, warnings denied: no dead or private links)"
+DOC_PKGS=(-p mmrepl)
+for manifest in crates/*/Cargo.toml; do
+    DOC_PKGS+=(-p "$(sed -n 's/^name = "\(.*\)"/\1/p' "$manifest" | head -n 1)")
+done
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps "${DOC_PKGS[@]}"
+
 echo "==> cargo build --examples"
 cargo build --workspace --examples --offline
 

@@ -21,12 +21,12 @@
 //!
 //! * [`model`] — entities, typed units, the Eq. 3-7 cost model and the
 //!   Eq. 8-10 constraints;
-//! * [`workload`] — the Table 1 synthetic workload, request traces and
-//!   the Section 5.1 perturbation model;
-//! * [`netsim`] — transfer timing, queueing servers, the control-plane
-//!   message bus and mergeable statistics;
+//! * [`workload`] — the Table 1 synthetic workload, request traces, the
+//!   Section 5.1 perturbation model and the one request pricer (Eq. 5/6
+//!   under each request's conditions) with mergeable statistics;
 //! * [`core`] — the paper's algorithms: `PARTITION`, the storage and
-//!   capacity restorations and the `OFF_LOADING_REPOSITORY` negotiation;
+//!   capacity restorations and the `OFF_LOADING_REPOSITORY` negotiation
+//!   over its control-plane message bus and event queue;
 //! * [`baselines`] — Remote, Local and the ideal LRU cache;
 //! * [`online`] — the online control plane: streaming rate estimation,
 //!   drift detection, churn-bounded incremental replanning and
@@ -59,7 +59,6 @@
 pub use mmrepl_baselines as baselines;
 pub use mmrepl_core as core;
 pub use mmrepl_model as model;
-pub use mmrepl_netsim as netsim;
 pub use mmrepl_obs as obs;
 pub use mmrepl_online as online;
 pub use mmrepl_sim as sim;
