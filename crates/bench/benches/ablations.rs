@@ -1,7 +1,7 @@
 //! Criterion benches for the A1-A4 ablations plus the queueing-aware
 //! replay extension: each variant's end-to-end runtime at quick scale.
-//! The quality comparison (who produces better response times) is the
-//! `ablations` binary; these track compute cost.
+//! The quality comparison (who produces better response times) is
+//! `mmrepl study ablations`; these track compute cost.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mmrepl_baselines::StaticRouter;

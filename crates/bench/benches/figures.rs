@@ -1,7 +1,7 @@
 //! One Criterion bench per paper artifact (Table 1, Figures 1-3).
 //!
 //! Each bench regenerates its artifact end-to-end at the quick scale (the
-//! full Table 1 scale lives in the `fig1`/`fig2`/`fig3` binaries, which
+//! full Table 1 scale lives in `mmrepl study fig1`/`fig2`/`fig3`, which
 //! print the actual numbers); Criterion tracks how fast the whole
 //! pipeline — workload generation, planning, replay, normalization — runs
 //! and flags regressions.

@@ -1,20 +1,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-//! Shared plumbing for the figure/table regeneration binaries.
-//!
-//! Every bin accepts the same flags:
-//!
-//! * `--quick` — run the milliseconds-scale workload (3 sites) instead of
-//!   the full Table 1 scale; useful for smoke-testing the harness;
-//! * `--runs N` — override the number of averaged runs (paper: 20);
-//! * `--seed S` — override the base seed;
-//! * `--out DIR` — where to write `<name>.json` and `<name>.txt`
-//!   (default `results/`).
+//! The tracked performance baseline (`BENCH_PLANNER.json`) shared by the
+//! `perfsuite` and `router` bins and `scripts/bench_regress.sh`. The
+//! paper's tables and figures are regenerated by `mmrepl study NAME`.
 
-use mmrepl_sim::{ExperimentConfig, FigureData};
-use std::collections::{BTreeMap, HashMap};
-use std::path::{Path, PathBuf};
+use std::collections::BTreeMap;
+use std::path::Path;
 
 /// The tracked baseline schema version. Bumped whenever the shape of
 /// `BENCH_PLANNER.json` changes (6 = `negotiate_s` retired: stage 4 has
@@ -146,229 +138,4 @@ pub struct ScaleTimings {
     /// whose counts differ from the candidate run's.
     #[serde(default)]
     pub threads: BTreeMap<String, usize>,
-}
-
-/// Parsed command-line options.
-#[derive(Clone, Debug, PartialEq)]
-pub struct BinArgs {
-    /// Experiment configuration (paper or quick scale).
-    pub config: ExperimentConfig,
-    /// Output directory.
-    pub out_dir: PathBuf,
-    /// Values of bin-specific flags registered via
-    /// [`BinArgs::parse_with_extras`], keyed without the `--` prefix.
-    pub extras: HashMap<String, String>,
-}
-
-impl BinArgs {
-    /// Parses `std::env::args`-style arguments.
-    pub fn parse(args: impl Iterator<Item = String>) -> Result<Self, String> {
-        Self::parse_with_extras(args, &[])
-    }
-
-    /// Parses the shared flags plus a bin-specific set of extra
-    /// `--name value` flags (names without the `--` prefix); their values
-    /// land in [`BinArgs::extras`].
-    pub fn parse_with_extras(
-        args: impl Iterator<Item = String>,
-        extra_flags: &[&str],
-    ) -> Result<Self, String> {
-        let mut quick = false;
-        let mut runs: Option<usize> = None;
-        let mut seed: Option<u64> = None;
-        let mut out_dir = PathBuf::from("results");
-        let mut extras = HashMap::new();
-        let mut it = args.peekable();
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--quick" => quick = true,
-                "--runs" => {
-                    let v = it.next().ok_or("--runs needs a value")?;
-                    runs = Some(v.parse().map_err(|e| format!("--runs: {e}"))?);
-                }
-                "--seed" => {
-                    let v = it.next().ok_or("--seed needs a value")?;
-                    seed = Some(v.parse().map_err(|e| format!("--seed: {e}"))?);
-                }
-                "--out" => {
-                    out_dir = PathBuf::from(it.next().ok_or("--out needs a value")?);
-                }
-                "--help" | "-h" => {
-                    let mut usage =
-                        "usage: [--quick] [--runs N] [--seed S] [--out DIR]".to_string();
-                    for f in extra_flags {
-                        usage.push_str(&format!(" [--{f} V]"));
-                    }
-                    return Err(usage);
-                }
-                other => match other.strip_prefix("--") {
-                    Some(name) if extra_flags.contains(&name) => {
-                        let v = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
-                        if extras.insert(name.to_string(), v).is_some() {
-                            return Err(format!("duplicate option --{name}"));
-                        }
-                    }
-                    _ => return Err(format!("unknown argument {other:?}")),
-                },
-            }
-        }
-        let mut config = if quick {
-            ExperimentConfig::quick()
-        } else {
-            ExperimentConfig::paper()
-        };
-        if let Some(r) = runs {
-            config.runs = r.max(1);
-        }
-        if let Some(s) = seed {
-            config.base_seed = s;
-        }
-        Ok(BinArgs {
-            config,
-            out_dir,
-            extras,
-        })
-    }
-
-    /// An extra flag's value parsed as `T`, or `default` when absent.
-    pub fn extra_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String>
-    where
-        T::Err: std::fmt::Display,
-    {
-        match self.extras.get(name) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|e| format!("--{name}: {e}")),
-        }
-    }
-
-    /// Parses the process arguments, exiting with the usage string on
-    /// error.
-    pub fn from_env() -> Self {
-        Self::from_env_with_extras(&[])
-    }
-
-    /// Like [`BinArgs::from_env`] but registering bin-specific flags.
-    pub fn from_env_with_extras(extra_flags: &[&str]) -> Self {
-        match Self::parse_with_extras(std::env::args().skip(1), extra_flags) {
-            Ok(a) => a,
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
-        }
-    }
-}
-
-/// Writes a figure as both JSON and a text table under `out_dir`, and
-/// echoes the table to stdout.
-pub fn emit_figure(out_dir: &Path, fig: &FigureData) -> std::io::Result<()> {
-    std::fs::create_dir_all(out_dir)?;
-    let table = fig.to_table();
-    print!("{table}");
-    std::fs::write(out_dir.join(format!("{}.txt", fig.name)), &table)?;
-    std::fs::write(
-        out_dir.join(format!("{}.json", fig.name)),
-        serde_json::to_string_pretty(fig).expect("figure serializes"),
-    )?;
-    Ok(())
-}
-
-/// The storage sweep fractions for Figure 1 (the paper ticks 0-100 % and
-/// calls out 65 % as the LRU-matching point).
-pub fn storage_fractions() -> Vec<f64> {
-    vec![0.2, 0.4, 0.6, 0.65, 0.8, 1.0]
-}
-
-/// Figure 2/3 processing fractions.
-pub fn processing_fractions() -> Vec<f64> {
-    vec![0.2, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
-}
-
-/// Figure 3 central-capacity fractions (90 %, 70 %, 50 %).
-pub fn central_fractions() -> Vec<f64> {
-    vec![0.9, 0.7, 0.5]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn parse(words: &[&str]) -> Result<BinArgs, String> {
-        BinArgs::parse(words.iter().map(|s| s.to_string()))
-    }
-
-    #[test]
-    fn default_is_paper_scale() {
-        let a = parse(&[]).unwrap();
-        assert_eq!(a.config.runs, 20);
-        assert_eq!(a.config.params.n_sites, 10);
-        assert_eq!(a.out_dir, PathBuf::from("results"));
-    }
-
-    #[test]
-    fn quick_flag_switches_workload() {
-        let a = parse(&["--quick"]).unwrap();
-        assert_eq!(a.config.params.n_sites, 3);
-    }
-
-    #[test]
-    fn runs_seed_and_out_overrides() {
-        let a = parse(&["--runs", "5", "--seed", "99", "--out", "/tmp/x"]).unwrap();
-        assert_eq!(a.config.runs, 5);
-        assert_eq!(a.config.base_seed, 99);
-        assert_eq!(a.out_dir, PathBuf::from("/tmp/x"));
-    }
-
-    #[test]
-    fn zero_runs_clamped_to_one() {
-        let a = parse(&["--runs", "0"]).unwrap();
-        assert_eq!(a.config.runs, 1);
-    }
-
-    #[test]
-    fn extra_flags_are_collected_and_typed() {
-        let a = BinArgs::parse_with_extras(
-            ["--quick", "--epochs", "6", "--rotation", "0.8"]
-                .iter()
-                .map(|s| s.to_string()),
-            &["epochs", "rotation"],
-        )
-        .unwrap();
-        assert_eq!(a.extra_or("epochs", 4usize).unwrap(), 6);
-        assert_eq!(a.extra_or("rotation", 0.5f64).unwrap(), 0.8);
-        // Absent flag falls back to the default.
-        assert_eq!(a.extra_or("windows", 4usize).unwrap(), 4);
-        // Unregistered flags still rejected; malformed values surface.
-        assert!(
-            BinArgs::parse_with_extras(["--epochs", "6"].iter().map(|s| s.to_string()), &[])
-                .is_err()
-        );
-        let bad = BinArgs::parse_with_extras(
-            ["--epochs", "x"].iter().map(|s| s.to_string()),
-            &["epochs"],
-        )
-        .unwrap();
-        assert!(bad.extra_or("epochs", 4usize).is_err());
-    }
-
-    #[test]
-    fn rejects_unknown_and_missing_values() {
-        assert!(parse(&["--bogus"]).is_err());
-        assert!(parse(&["--runs"]).is_err());
-        assert!(parse(&["--runs", "abc"]).is_err());
-        assert!(parse(&["--help"]).is_err());
-    }
-
-    #[test]
-    fn sweep_fraction_sets_are_sane() {
-        for f in storage_fractions()
-            .into_iter()
-            .chain(processing_fractions())
-            .chain(central_fractions())
-        {
-            assert!((0.0..=1.0).contains(&f));
-        }
-        assert!(storage_fractions().contains(&0.65)); // the headline point
-        assert_eq!(central_fractions(), vec![0.9, 0.7, 0.5]);
-    }
 }

@@ -2,6 +2,7 @@
 //! parser, so the CLI stays within the workspace's dependency policy.
 
 use mmrepl_core::AncestorPolicy;
+use mmrepl_sim::ExperimentConfig;
 use mmrepl_workload::TopologyParams;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -39,33 +40,28 @@ commands:
   compare    --system FILE [--seed N] [--storage F] [--processing F]
              Replay every policy (ours, lru, gds, lfu, local, remote) on
              the same trace and print a comparison table.
-  sweep      --figure 1|2|3 [--runs N] [--seed S] [--paper] [--out FILE]
-             [--trace-out FILE]
-             Regenerate one of the paper's figures (quick scale unless
-             --paper) and write it as JSON.
-  online     [--epochs N] [--rotation F] [--windows N] [--budget F]
-             [--runs N] [--seed S] [--paper] [--out FILE] [--trace-out FILE]
-             [--expose ADDR|FILE] [--scrape-interval S]
-             Run the E-X5 online-controller study: stale plan vs per-epoch
-             full replan vs the streaming estimate/detect/delta-replan
-             controller vs LRU, on identical drift traces. --budget is the
-             migration-byte budget per replan as a fraction of aggregate
-             site storage (0 = unlimited).
-  federate   [--preset edge|regional] [--runs N] [--seed S] [--paper]
-             [--out FILE] [--trace-out FILE]
-             Run the E-X6 federated-tree study: closest ancestor
-             allocation vs the flat root-only policy vs LRU on identical
-             traces, remote streams priced over per-link bandwidth and
-             latency.
-  negotiate  [--central F] [--runs N] [--seed S] [--paper] [--out FILE]
+  study      NAME [--quick] [--runs N] [--seed S] [--out DIR]
              [--trace-out FILE] [--expose ADDR|FILE] [--scrape-interval S]
-             Run the E-X7 control-plane negotiation study: the
-             asynchronous proposal/counter-proposal off-loading protocol
-             under every strategy (greedy, deadline, auction) × fault
-             scenario (reliable, lossy, chaos) grid cell, reporting
-             protocol cost, resilience counters and placement agreement
-             with the default plan. --central squeezes the
-             repository to that fraction of its capacity (default 0.3).
+             Run one of the paper's or the extension studies, print its
+             table and write its results/ files into DIR (default
+             results): a .txt table plus, for every study but queueing,
+             a .json document (fig1 writes figure1.* and headline.*,
+             fig2/fig3 figure2.*/figure3.*, caches cache_comparison.*,
+             the others NAME.*). NAME is one of table1, fig1, fig2, fig3,
+             ablations, drift, online, caches, updates, queueing,
+             federate, negotiate. With no flags a study runs at
+             the paper's scale (Table 1 workload, 20 runs, the committed
+             seed) and rewrites its committed file; --quick runs the
+             3-site workload instead. Per-study options:
+               drift      [--epochs N] [--rotation F]     (4, 0.5)
+               online     [--epochs N] [--rotation F] [--windows N]
+                          [--budget F]                    (3, 0.5, 4, 0.25)
+               federate   [--preset edge|regional]        (regional)
+               negotiate  [--central F]                   (0.3)
+             --rotation is the hot-set rotation per epoch; --budget the
+             online controller's migration-byte budget per replan as a
+             fraction of aggregate site storage (0 = unlimited); --central
+             squeezes the repository to that fraction of its capacity.
   route      --system FILE [--placement FILE] [--seed N] [--storage F]
              [--processing F] [--threads N] [--out FILE]
              [--expose ADDR|FILE] [--scrape-interval S]
@@ -184,6 +180,72 @@ impl fmt::Display for StudyName {
     }
 }
 
+/// The names `mmrepl study` accepts, in `results/` order.
+pub const STUDY_NAMES: [&str; 12] = [
+    "table1",
+    "fig1",
+    "fig2",
+    "fig3",
+    "ablations",
+    "drift",
+    "online",
+    "caches",
+    "updates",
+    "queueing",
+    "federate",
+    "negotiate",
+];
+
+/// A study `mmrepl study` runs, with the options only it reads.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Study {
+    /// Table 1: the workload parameters.
+    Table1,
+    /// Figure 1 plus the Section 5.2 headline numbers.
+    Fig1,
+    /// Figure 2.
+    Fig2,
+    /// Figure 3.
+    Fig3,
+    /// The DESIGN.md A1-A5 ablations.
+    Ablations,
+    /// E-X2: plan staleness under drift.
+    Drift {
+        /// Drift epochs after the planning epoch.
+        epochs: usize,
+        /// Hot-set rotation per epoch.
+        rotation: f64,
+    },
+    /// E-X5: the online controller.
+    Online {
+        /// Drift epochs after the planning epoch.
+        epochs: usize,
+        /// Hot-set rotation per epoch.
+        rotation: f64,
+        /// Estimation windows per epoch.
+        windows: usize,
+        /// Churn budget per replan as a fraction of aggregate site
+        /// storage (`0` = unlimited).
+        budget: f64,
+    },
+    /// E-X3: LRU vs GDS vs LFU vs ours.
+    Caches,
+    /// E-X4: update propagation.
+    Updates,
+    /// E-X1: the queueing cost of infeasibility.
+    Queueing,
+    /// E-X6: federated repository trees.
+    Federate {
+        /// Tree preset the study runs on.
+        preset: TopologyParams,
+    },
+    /// E-X7: off-loading negotiation under control-plane faults.
+    Negotiate {
+        /// Repository capacity fraction the runs are squeezed to.
+        central: f64,
+    },
+}
+
 /// Which policy `evaluate` runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PolicyName {
@@ -250,74 +312,13 @@ pub enum Command {
         /// Processing fraction override.
         processing: Option<f64>,
     },
-    /// `mmrepl sweep`.
-    Sweep {
-        /// Which figure (1, 2 or 3).
-        figure: u8,
-        /// Runs to average.
-        runs: usize,
-        /// Base seed.
-        seed: u64,
-        /// Full Table 1 scale instead of the quick workload.
-        paper: bool,
-        /// Output JSON path.
-        out: PathBuf,
-        /// Structured-trace JSONL path (`None` = tracing stays off).
-        trace_out: Option<PathBuf>,
-    },
-    /// `mmrepl online`.
-    Online {
-        /// Drift epochs after the planning epoch.
-        epochs: usize,
-        /// Hot-set rotation per epoch.
-        rotation: f64,
-        /// Estimation windows per epoch.
-        windows: usize,
-        /// Churn budget per replan as a fraction of aggregate site
-        /// storage (`0` = unlimited).
-        budget: f64,
-        /// Runs to average.
-        runs: usize,
-        /// Base seed (`None` = the experiment config's default).
-        seed: Option<u64>,
-        /// Full Table 1 scale instead of the quick workload.
-        paper: bool,
-        /// Output JSON path.
-        out: PathBuf,
-        /// Structured-trace JSONL path (`None` = tracing stays off).
-        trace_out: Option<PathBuf>,
-        /// Telemetry exporter target (`host:port` or a scrape-file
-        /// path; `None` = exporter stays off).
-        expose: Option<String>,
-        /// Seconds between exporter flushes.
-        scrape_interval: f64,
-    },
-    /// `mmrepl federate`.
-    Federate {
-        /// Tree preset the study runs on.
-        preset: TopologyParams,
-        /// Runs to average.
-        runs: usize,
-        /// Base seed (`None` = the experiment config's default).
-        seed: Option<u64>,
-        /// Full Table 1 scale instead of the quick workload.
-        paper: bool,
-        /// Output JSON path.
-        out: PathBuf,
-        /// Structured-trace JSONL path (`None` = tracing stays off).
-        trace_out: Option<PathBuf>,
-    },
-    /// `mmrepl negotiate`.
-    Negotiate {
-        /// Repository capacity fraction the runs are squeezed to.
-        central: f64,
-        /// Runs to average per grid cell.
-        runs: usize,
-        /// Base seed (`None` = the experiment config's default).
-        seed: Option<u64>,
-        /// Full Table 1 scale instead of the quick workload.
-        paper: bool,
-        /// Output JSON path.
+    /// `mmrepl study`.
+    Study {
+        /// Which study, with its own options.
+        study: Study,
+        /// Scale, runs and base seed (paper scale unless `--quick`).
+        config: Box<ExperimentConfig>,
+        /// Directory the study's `results/` files are written to.
         out: PathBuf,
         /// Structured-trace JSONL path (`None` = tracing stays off).
         trace_out: Option<PathBuf>,
@@ -411,6 +412,13 @@ impl Command {
     /// Parses an argv slice (without the program name).
     pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
         let (cmd, rest) = argv.split_first().ok_or("missing command")?;
+        // `study` takes the study's name before its options.
+        let (study, rest) = match rest.split_first() {
+            Some((name, tail)) if cmd == "study" && !name.starts_with('-') => {
+                (Some(name.as_str()), tail)
+            }
+            _ => (None, rest),
+        };
         // Every `take` consumes its key; whatever is left once the
         // subcommand is built is an option it does not read.
         let opts = RefCell::new(parse_options(rest)?);
@@ -526,91 +534,71 @@ impl Command {
                     .unwrap_or_else(|| PathBuf::from("placement.json")),
                 trace_out: take("trace-out").map(PathBuf::from),
             }),
-            "sweep" => {
-                let figure: u8 = take("figure")
-                    .ok_or("missing required --figure")?
-                    .parse()
-                    .map_err(|e| format!("--figure: {e}"))?;
-                if !(1..=3).contains(&figure) {
-                    return Err(format!("--figure must be 1, 2 or 3, got {figure}").into());
-                }
-                Ok(Command::Sweep {
-                    figure,
-                    runs: take("runs")
-                        .map(|v| v.parse::<usize>().map_err(|e| format!("--runs: {e}")))
-                        .transpose()?
-                        .unwrap_or(3)
-                        .max(1),
-                    seed: take_u64("seed", 0)?,
-                    paper: take("paper").is_some(),
-                    out: take("out")
-                        .map(PathBuf::from)
-                        .unwrap_or_else(|| PathBuf::from("figure.json")),
-                    trace_out: take("trace-out").map(PathBuf::from),
-                })
-            }
-            "online" => {
-                let rotation = take_f64("rotation")?.unwrap_or(0.5);
-                if !(0.0..=1.0).contains(&rotation) {
-                    return Err(format!("--rotation must be in [0, 1], got {rotation}").into());
-                }
-                let budget = take_f64("budget")?.unwrap_or(0.25);
-                if !(0.0..=1.0).contains(&budget) {
-                    return Err(format!("--budget must be in [0, 1], got {budget}").into());
-                }
-                Ok(Command::Online {
-                    epochs: take_usize("epochs", 3)?.max(1),
-                    rotation,
-                    windows: take_usize("windows", 4)?.max(1),
-                    budget,
-                    runs: take_usize("runs", 3)?.max(1),
-                    seed: take("seed")
-                        .map(|v| v.parse::<u64>().map_err(|e| format!("--seed: {e}")))
-                        .transpose()?,
-                    paper: take("paper").is_some(),
-                    out: take("out")
-                        .map(PathBuf::from)
-                        .unwrap_or_else(|| PathBuf::from("online.json")),
-                    trace_out: take("trace-out").map(PathBuf::from),
-                    expose: take("expose"),
-                    scrape_interval: take_scrape_interval()?,
-                })
-            }
-            "federate" => Ok(Command::Federate {
-                preset: match take("preset").as_deref() {
-                    None | Some("regional") => TopologyParams::regional(),
-                    Some("edge") => TopologyParams::edge(),
-                    Some(other) => {
-                        return Err(
-                            format!("--preset must be edge or regional, got {other:?}").into()
-                        )
+            "study" => {
+                let name = study
+                    .ok_or_else(|| format!("study needs a name: {}", STUDY_NAMES.join(", ")))?;
+                let take_unit = |key: &str, default: f64| -> Result<f64, String> {
+                    let v = take_f64(key)?.unwrap_or(default);
+                    if !(0.0..=1.0).contains(&v) {
+                        return Err(format!("--{key} must be in [0, 1], got {v}"));
                     }
-                },
-                runs: take_usize("runs", 3)?.max(1),
-                seed: take("seed")
-                    .map(|v| v.parse::<u64>().map_err(|e| format!("--seed: {e}")))
-                    .transpose()?,
-                paper: take("paper").is_some(),
-                out: take("out")
-                    .map(PathBuf::from)
-                    .unwrap_or_else(|| PathBuf::from("federate.json")),
-                trace_out: take("trace-out").map(PathBuf::from),
-            }),
-            "negotiate" => {
-                let central = take_f64("central")?.unwrap_or(0.3);
-                if !(0.0..=1.0).contains(&central) {
-                    return Err(format!("--central must be in [0, 1], got {central}").into());
-                }
-                Ok(Command::Negotiate {
-                    central,
-                    runs: take_usize("runs", 3)?.max(1),
-                    seed: take("seed")
-                        .map(|v| v.parse::<u64>().map_err(|e| format!("--seed: {e}")))
-                        .transpose()?,
-                    paper: take("paper").is_some(),
+                    Ok(v)
+                };
+                let study = match name {
+                    "table1" => Study::Table1,
+                    "fig1" => Study::Fig1,
+                    "fig2" => Study::Fig2,
+                    "fig3" => Study::Fig3,
+                    "ablations" => Study::Ablations,
+                    "drift" => Study::Drift {
+                        epochs: take_usize("epochs", 4)?.max(1),
+                        rotation: take_unit("rotation", 0.5)?,
+                    },
+                    "online" => Study::Online {
+                        epochs: take_usize("epochs", 3)?.max(1),
+                        rotation: take_unit("rotation", 0.5)?,
+                        windows: take_usize("windows", 4)?.max(1),
+                        budget: take_unit("budget", 0.25)?,
+                    },
+                    "caches" => Study::Caches,
+                    "updates" => Study::Updates,
+                    "queueing" => Study::Queueing,
+                    "federate" => Study::Federate {
+                        preset: match take("preset").as_deref() {
+                            None | Some("regional") => TopologyParams::regional(),
+                            Some("edge") => TopologyParams::edge(),
+                            Some(other) => {
+                                return Err(format!(
+                                    "--preset must be edge or regional, got {other:?}"
+                                )
+                                .into())
+                            }
+                        },
+                    },
+                    "negotiate" => Study::Negotiate {
+                        central: take_unit("central", 0.3)?,
+                    },
+                    other => {
+                        return Err(format!(
+                            "unknown study {other:?}; expected one of {}",
+                            STUDY_NAMES.join(", ")
+                        )
+                        .into())
+                    }
+                };
+                let mut config = if take("quick").is_some() {
+                    ExperimentConfig::quick()
+                } else {
+                    ExperimentConfig::paper()
+                };
+                config.runs = take_usize("runs", config.runs)?.max(1);
+                config.base_seed = take_u64("seed", config.base_seed)?;
+                Ok(Command::Study {
+                    study,
+                    config: Box::new(config),
                     out: take("out")
                         .map(PathBuf::from)
-                        .unwrap_or_else(|| PathBuf::from("negotiate.json")),
+                        .unwrap_or_else(|| PathBuf::from("results")),
                     trace_out: take("trace-out").map(PathBuf::from),
                     expose: take("expose"),
                     scrape_interval: take_scrape_interval()?,
@@ -693,6 +681,10 @@ impl Command {
             other => Err(ParseError::UnknownCommand(other.to_string())),
         }?;
         if let Some(key) = opts.borrow().keys().min() {
+            let cmd = match study {
+                Some(name) => format!("{cmd} {name}"),
+                None => cmd.clone(),
+            };
             return Err(ParseError::Invalid(format!("{cmd} does not take --{key}")));
         }
         Ok(command)
@@ -700,7 +692,7 @@ impl Command {
 }
 
 /// Options that are bare flags (no value).
-const BOOL_FLAGS: &[&str] = &["paper", "inject"];
+const BOOL_FLAGS: &[&str] = &["quick", "inject"];
 
 /// Parses `--key value` pairs (and bare boolean flags), rejecting dangling
 /// or duplicate keys. `--help` or `-h` anywhere asks for the usage text.
@@ -864,36 +856,32 @@ mod tests {
         ));
     }
 
+    /// The `Study` command of a parsed `study` line.
+    fn study(words: &[&str]) -> (Study, ExperimentConfig, PathBuf) {
+        match parse(words).unwrap() {
+            Command::Study {
+                study, config, out, ..
+            } => (study, *config, out),
+            other => unreachable!("study input parses to Command::Study, got {other:?}"),
+        }
+    }
+
     #[test]
     fn federate_parses_and_defaults() {
         assert_eq!(
-            parse(&["federate"]).unwrap(),
-            Command::Federate {
+            study(&["study", "federate"]).0,
+            Study::Federate {
                 preset: TopologyParams::regional(),
-                runs: 3,
-                seed: None,
-                paper: false,
-                out: PathBuf::from("federate.json"),
-                trace_out: None,
             }
         );
         assert_eq!(
-            parse(&[
-                "federate", "--preset", "edge", "--runs", "5", "--seed", "9", "--paper", "--out",
-                "f.json",
-            ])
-            .unwrap(),
-            Command::Federate {
+            study(&["study", "federate", "--preset", "edge"]).0,
+            Study::Federate {
                 preset: TopologyParams::edge(),
-                runs: 5,
-                seed: Some(9),
-                paper: true,
-                out: PathBuf::from("f.json"),
-                trace_out: None,
             }
         );
         assert!(matches!(
-            parse(&["federate", "--preset", "mesh"]),
+            parse(&["study", "federate", "--preset", "mesh"]),
             Err(ParseError::Invalid(_))
         ));
     }
@@ -964,120 +952,197 @@ mod tests {
 
     #[test]
     fn sweep_parses_and_validates() {
-        let cmd = parse(&["sweep", "--figure", "2", "--runs", "5", "--paper"]).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Sweep {
-                figure: 2,
-                runs: 5,
-                seed: 0,
-                paper: true,
-                out: PathBuf::from("figure.json"),
-                trace_out: None,
-            }
-        );
-        assert!(parse(&["sweep", "--figure", "4"]).is_err());
-        assert!(parse(&["sweep"]).is_err());
-        // Default is quick scale, 3 runs.
-        let cmd = parse(&["sweep", "--figure", "1"]).unwrap();
+        // The figure sweeps take only the shared flags: their axes are
+        // fixed, so no committed figure depends on a command line.
+        for (name, want) in [
+            ("fig1", Study::Fig1),
+            ("fig2", Study::Fig2),
+            ("fig3", Study::Fig3),
+            ("caches", Study::Caches),
+        ] {
+            let (got, config, _) = study(&["study", name, "--runs", "5", "--quick"]);
+            assert_eq!(got, want);
+            assert_eq!(config.runs, 5);
+        }
         assert!(matches!(
-            cmd,
-            Command::Sweep {
-                figure: 1,
-                runs: 3,
-                paper: false,
-                ..
-            }
+            parse(&["study", "fig2", "--figure", "2"]),
+            Err(ParseError::Invalid(msg)) if msg == "study fig2 does not take --figure"
         ));
+        assert!(matches!(
+            parse(&["study", "fig4"]),
+            Err(ParseError::Invalid(msg)) if msg.contains("unknown study \"fig4\"")
+        ));
+        assert!(matches!(
+            parse(&["study"]),
+            Err(ParseError::Invalid(msg)) if msg.starts_with("study needs a name")
+        ));
+        for name in STUDY_NAMES {
+            assert!(parse(&["study", name]).is_ok(), "{name}");
+        }
     }
 
     #[test]
     fn online_parses_and_validates() {
-        let cmd = parse(&[
-            "online",
-            "--epochs",
-            "2",
-            "--rotation",
-            "0.8",
-            "--windows",
-            "6",
-            "--budget",
-            "0.1",
-        ])
-        .unwrap();
         assert_eq!(
-            cmd,
-            Command::Online {
+            study(&[
+                "study",
+                "online",
+                "--epochs",
+                "2",
+                "--rotation",
+                "0.8",
+                "--windows",
+                "6",
+                "--budget",
+                "0.1",
+            ])
+            .0,
+            Study::Online {
                 epochs: 2,
                 rotation: 0.8,
                 windows: 6,
                 budget: 0.1,
-                runs: 3,
-                seed: None,
-                paper: false,
-                out: PathBuf::from("online.json"),
-                trace_out: None,
-                expose: None,
-                scrape_interval: 1.0,
             }
         );
         // Defaults.
-        assert!(matches!(
-            parse(&["online"]).unwrap(),
-            Command::Online {
+        assert_eq!(
+            study(&["study", "online"]).0,
+            Study::Online {
                 epochs: 3,
+                rotation: 0.5,
                 windows: 4,
-                ..
+                budget: 0.25,
             }
-        ));
-        assert!(parse(&["online", "--rotation", "1.5"]).is_err());
-        assert!(parse(&["online", "--budget", "-0.1"]).is_err());
+        );
+        assert!(parse(&["study", "online", "--rotation", "1.5"]).is_err());
+        assert!(parse(&["study", "online", "--budget", "-0.1"]).is_err());
+        assert_eq!(
+            study(&["study", "drift"]).0,
+            Study::Drift {
+                epochs: 4,
+                rotation: 0.5,
+            }
+        );
+        assert!(parse(&["study", "drift", "--rotation", "nan"]).is_err());
     }
 
     #[test]
     fn negotiate_parses_and_defaults() {
         assert_eq!(
-            parse(&["negotiate"]).unwrap(),
-            Command::Negotiate {
-                central: 0.3,
-                runs: 3,
-                seed: None,
-                paper: false,
-                out: PathBuf::from("negotiate.json"),
-                trace_out: None,
-                expose: None,
-                scrape_interval: 1.0,
-            }
+            study(&["study", "negotiate"]).0,
+            Study::Negotiate { central: 0.3 }
         );
-        assert_eq!(
-            parse(&[
-                "negotiate",
-                "--central",
-                "0.1",
-                "--runs",
-                "5",
-                "--seed",
-                "9",
-                "--paper",
-                "--out",
-                "n.json",
-            ])
-            .unwrap(),
-            Command::Negotiate {
-                central: 0.1,
-                runs: 5,
-                seed: Some(9),
-                paper: true,
-                out: PathBuf::from("n.json"),
-                trace_out: None,
-                expose: None,
-                scrape_interval: 1.0,
-            }
-        );
+        let (got, config, out) = study(&[
+            "study",
+            "negotiate",
+            "--central",
+            "0.1",
+            "--runs",
+            "5",
+            "--seed",
+            "9",
+            "--out",
+            "n",
+        ]);
+        assert_eq!(got, Study::Negotiate { central: 0.1 });
+        assert_eq!((config.runs, config.base_seed), (5, 9));
+        assert_eq!(out, PathBuf::from("n"));
         assert!(matches!(
-            parse(&["negotiate", "--central", "1.5"]),
+            parse(&["study", "negotiate", "--central", "1.5"]),
             Err(ParseError::Invalid(_))
         ));
+    }
+
+    #[test]
+    fn default_is_paper_scale() {
+        let (_, config, out) = study(&["study", "table1"]);
+        assert_eq!(config, ExperimentConfig::paper());
+        assert_eq!(config.runs, 20);
+        assert_eq!(config.params.n_sites, 10);
+        assert_eq!(out, PathBuf::from("results"));
+        // Every study shares the envelope defaults.
+        assert!(matches!(
+            parse(&["study", "queueing"]).unwrap(),
+            Command::Study {
+                trace_out: None,
+                expose: None,
+                scrape_interval: 1.0,
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn quick_flag_switches_workload() {
+        let (_, config, _) = study(&["study", "fig1", "--quick"]);
+        assert_eq!(config, ExperimentConfig::quick());
+        assert_eq!(config.params.n_sites, 3);
+    }
+
+    #[test]
+    fn runs_seed_and_out_overrides() {
+        let (_, config, out) = study(&[
+            "study", "updates", "--runs", "5", "--seed", "99", "--out", "/tmp/x",
+        ]);
+        assert_eq!(config.runs, 5);
+        assert_eq!(config.base_seed, 99);
+        assert_eq!(out, PathBuf::from("/tmp/x"));
+    }
+
+    #[test]
+    fn zero_runs_clamped_to_one() {
+        let (_, config, _) = study(&["study", "ablations", "--runs", "0"]);
+        assert_eq!(config.runs, 1);
+    }
+
+    #[test]
+    fn extra_flags_are_collected_and_typed() {
+        assert_eq!(
+            study(&[
+                "study",
+                "drift",
+                "--quick",
+                "--epochs",
+                "6",
+                "--rotation",
+                "0.8"
+            ])
+            .0,
+            Study::Drift {
+                epochs: 6,
+                rotation: 0.8,
+            }
+        );
+        // An absent flag falls back to the study's default.
+        assert_eq!(
+            study(&["study", "drift", "--epochs", "6"]).0,
+            Study::Drift {
+                epochs: 6,
+                rotation: 0.5,
+            }
+        );
+        // A flag another study reads is still foreign here; malformed
+        // values surface.
+        assert!(matches!(
+            parse(&["study", "fig1", "--epochs", "6"]),
+            Err(ParseError::Invalid(msg)) if msg == "study fig1 does not take --epochs"
+        ));
+        assert!(matches!(
+            parse(&["study", "fig1", "--central", "0.1"]),
+            Err(ParseError::Invalid(msg)) if msg == "study fig1 does not take --central"
+        ));
+        assert!(parse(&["study", "drift", "--epochs", "x"]).is_err());
+    }
+
+    #[test]
+    fn rejects_unknown_and_missing_values() {
+        assert!(parse(&["study", "fig1", "--bogus", "1"]).is_err());
+        assert!(parse(&["study", "fig1", "--runs"]).is_err());
+        assert!(parse(&["study", "fig1", "--runs", "abc"]).is_err());
+        assert!(parse(&["study", "fig1", "--seed", "-1"]).is_err());
+        assert!(parse(&["study", "fig1", "--paper"]).is_err());
+        assert_eq!(parse(&["study", "fig1", "--help"]), Err(ParseError::Help));
+        assert_eq!(parse(&["study", "--help"]), Err(ParseError::Help));
     }
 
     #[test]
@@ -1208,11 +1273,12 @@ mod tests {
 
     #[test]
     fn expose_rides_along_on_online_route_and_negotiate() {
-        let Command::Online {
+        let Command::Study {
             expose,
             scrape_interval,
             ..
         } = parse(&[
+            "study",
             "online",
             "--expose",
             "127.0.0.1:0",
@@ -1221,7 +1287,7 @@ mod tests {
         ])
         .unwrap()
         else {
-            unreachable!("online input parses to Command::Online")
+            unreachable!("study input parses to Command::Study")
         };
         assert_eq!(expose.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(scrape_interval, 0.2);
@@ -1231,19 +1297,29 @@ mod tests {
             unreachable!("route input parses to Command::Route")
         };
         assert_eq!(expose.as_deref(), Some("m.prom"));
-        let Command::Negotiate { expose, .. } =
-            parse(&["negotiate", "--expose", "m.prom"]).unwrap()
+        let Command::Study {
+            expose, trace_out, ..
+        } = parse(&[
+            "study",
+            "negotiate",
+            "--expose",
+            "m.prom",
+            "--trace-out",
+            "t.jsonl",
+        ])
+        .unwrap()
         else {
-            unreachable!("negotiate input parses to Command::Negotiate")
+            unreachable!("study input parses to Command::Study")
         };
         assert_eq!(expose.as_deref(), Some("m.prom"));
+        assert_eq!(trace_out, Some(PathBuf::from("t.jsonl")));
         // A non-positive flush period can never scrape.
         assert!(matches!(
-            parse(&["online", "--scrape-interval", "0"]),
+            parse(&["study", "online", "--scrape-interval", "0"]),
             Err(ParseError::Invalid(_))
         ));
         assert!(matches!(
-            parse(&["online", "--scrape-interval", "-1"]),
+            parse(&["study", "online", "--scrape-interval", "-1"]),
             Err(ParseError::Invalid(_))
         ));
         // Nor can one no timer holds: a typed error, not a panic later.
@@ -1300,8 +1376,8 @@ mod tests {
             Err(ParseError::Invalid(msg)) if msg.contains("--seed")
         ));
         assert!(matches!(
-            parse(&["audit", "--paper"]),
-            Err(ParseError::Invalid(msg)) if msg.contains("--paper")
+            parse(&["audit", "--quick"]),
+            Err(ParseError::Invalid(msg)) if msg.contains("--quick")
         ));
     }
 

@@ -1,6 +1,6 @@
 //! Command implementations for the `mmrepl` binary.
 
-use crate::args::{Command, PolicyName, Scale, StudyName};
+use crate::args::{Command, PolicyName, Scale, Study, StudyName};
 use mmrepl_baselines::{GdsRouter, LfuRouter, LruRouter, StaticRouter};
 use mmrepl_core::{
     audit_site, partition_all, AncestorPolicy, AuditStage, PlannerConfig, ReplicationPolicy,
@@ -8,7 +8,10 @@ use mmrepl_core::{
 };
 use mmrepl_model::{Bytes, ConstraintReport, CostParams, NodeId, Placement, System};
 use mmrepl_serve::{route_traces, PlacementSnapshot, RouteStats};
-use mmrepl_sim::replay_all;
+use mmrepl_sim::{
+    replay_all, ExperimentConfig, FigureData, CENTRAL_FRACTIONS, PROCESSING_FRACTIONS,
+    STORAGE_FRACTIONS, UPDATE_RATES,
+};
 use mmrepl_workload::{
     generate_system, generate_trace, TopologyParams, TraceConfig, WorkloadParams,
 };
@@ -74,66 +77,22 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
             storage,
             processing,
         } => compare(&system, seed, storage, processing),
-        Command::Sweep {
-            figure,
-            runs,
-            seed,
-            paper,
-            out,
-            trace_out,
-        } => sweep(figure, runs, seed, paper, &out, trace_out.as_deref()),
-        Command::Online {
-            epochs,
-            rotation,
-            windows,
-            budget,
-            runs,
-            seed,
-            paper,
+        Command::Study {
+            study,
+            config,
             out,
             trace_out,
             expose,
             scrape_interval,
-        } => online(
-            epochs,
-            rotation,
-            windows,
-            budget,
-            runs,
-            seed,
-            paper,
-            &out,
-            trace_out.as_deref(),
-            expose.as_deref(),
-            scrape_interval,
-        ),
-        Command::Federate {
-            preset,
-            runs,
-            seed,
-            paper,
-            out,
-            trace_out,
-        } => federate(preset, runs, seed, paper, &out, trace_out.as_deref()),
-        Command::Negotiate {
-            central,
-            runs,
-            seed,
-            paper,
-            out,
-            trace_out,
-            expose,
-            scrape_interval,
-        } => negotiate(
-            central,
-            runs,
-            seed,
-            paper,
-            &out,
-            trace_out.as_deref(),
-            expose.as_deref(),
-            scrape_interval,
-        ),
+        } => {
+            let files = with_obs(
+                trace_out.as_deref(),
+                expose.as_deref(),
+                scrape_interval,
+                || run_study(&study, &config),
+            )?;
+            write_study(&out, &files)
+        }
         Command::Audit {
             seeds,
             start,
@@ -826,138 +785,107 @@ fn compare(
     Ok(())
 }
 
-fn sweep(
-    figure: u8,
-    runs: usize,
-    seed: u64,
-    paper: bool,
-    out: &Path,
-    trace_out: Option<&Path>,
-) -> Result<(), CliError> {
-    let mut cfg = if paper {
-        mmrepl_sim::ExperimentConfig::paper()
-    } else {
-        mmrepl_sim::ExperimentConfig::quick()
-    };
-    cfg.runs = runs;
-    cfg.base_seed = seed;
-    let fig = with_trace(trace_out, || match figure {
-        1 => mmrepl_sim::figure1(&cfg, &[0.2, 0.4, 0.6, 0.65, 0.8, 1.0]),
-        2 => mmrepl_sim::figure2(&cfg, &[0.2, 0.4, 0.6, 0.8, 1.0]),
-        3 => mmrepl_sim::figure3(&cfg, &[0.9, 0.7, 0.5], &[0.6, 0.8, 1.0]),
-        _ => unreachable!("parser validated the figure number"),
-    })?;
-    print!("{}", fig.to_table());
-    std::fs::write(
-        out,
-        serde_json::to_string_pretty(&fig).map_err(|e| e.to_string())?,
-    )
-    .map_err(|e| format!("writing {}: {e}", out.display()))?;
-    println!("wrote {}", out.display());
-    Ok(())
+/// One `results/` file pair a study writes: `<name>.txt` holds the
+/// table, `<name>.json` the document (when the study has one).
+struct StudyFile {
+    name: String,
+    table: String,
+    json: Option<String>,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn online(
-    epochs: usize,
-    rotation: f64,
-    windows: usize,
-    budget: f64,
-    runs: usize,
-    seed: Option<u64>,
-    paper: bool,
-    out: &Path,
-    trace_out: Option<&Path>,
-    expose: Option<&str>,
-    scrape_interval: f64,
-) -> Result<(), CliError> {
-    let mut cfg = if paper {
-        mmrepl_sim::ExperimentConfig::paper()
-    } else {
-        mmrepl_sim::ExperimentConfig::quick()
-    };
-    cfg.runs = runs;
-    if let Some(s) = seed {
-        cfg.base_seed = s;
+impl StudyFile {
+    fn new(name: &str, table: String, doc: &impl serde::Serialize) -> Self {
+        let json = serde_json::to_string_pretty(doc).expect("study results serialize");
+        StudyFile {
+            name: name.to_string(),
+            table,
+            json: Some(json),
+        }
     }
-    let study = with_obs(trace_out, expose, scrape_interval, || {
-        mmrepl_sim::online_study(
-            &cfg,
+}
+
+/// Runs one study at `cfg` and renders the files it writes.
+fn run_study(study: &Study, cfg: &ExperimentConfig) -> Vec<StudyFile> {
+    // A figure's files are named after it: figure1..3, cache_comparison.
+    let figure = |fig: FigureData| StudyFile::new(&fig.name, fig.to_table(), &fig);
+    match study {
+        Study::Table1 => vec![StudyFile::new("table1", cfg.params.table1(), &cfg.params)],
+        Study::Fig1 => {
+            let fig = mmrepl_sim::figure1(cfg, &STORAGE_FRACTIONS);
+            let h = mmrepl_sim::headline(&fig);
+            vec![figure(fig), StudyFile::new("headline", h.to_table(), &h)]
+        }
+        Study::Fig2 => vec![figure(mmrepl_sim::figure2(cfg, &PROCESSING_FRACTIONS))],
+        Study::Fig3 => vec![figure(mmrepl_sim::figure3(
+            cfg,
+            &CENTRAL_FRACTIONS,
+            &PROCESSING_FRACTIONS,
+        ))],
+        Study::Ablations => {
+            let results = mmrepl_sim::all_ablations(cfg);
+            let table: String = results.iter().map(|r| r.to_table() + "\n").collect();
+            vec![StudyFile::new("ablations", table, &results)]
+        }
+        Study::Drift { epochs, rotation } => {
+            let s = mmrepl_sim::drift_study(cfg, *epochs, *rotation);
+            vec![StudyFile::new("drift", s.to_table(), &s)]
+        }
+        Study::Online {
             epochs,
             rotation,
             windows,
             budget,
-            &mmrepl_sim::study_online_config(),
-        )
-    })?;
-    print!("{}", study.to_table());
-    std::fs::write(
-        out,
-        serde_json::to_string_pretty(&study).map_err(|e| e.to_string())?,
-    )
-    .map_err(|e| format!("writing {}: {e}", out.display()))?;
-    println!("wrote {}", out.display());
-    Ok(())
+        } => {
+            let s = mmrepl_sim::online_study(
+                cfg,
+                *epochs,
+                *rotation,
+                *windows,
+                *budget,
+                &mmrepl_sim::study_online_config(),
+            );
+            vec![StudyFile::new("online", s.to_table(), &s)]
+        }
+        Study::Caches => vec![figure(mmrepl_sim::cache_comparison(
+            cfg,
+            &STORAGE_FRACTIONS,
+        ))],
+        Study::Updates => {
+            let s = mmrepl_sim::update_study(cfg, &UPDATE_RATES);
+            vec![StudyFile::new("updates", s.to_table(), &s)]
+        }
+        Study::Queueing => vec![StudyFile {
+            name: "queueing".to_string(),
+            table: mmrepl_sim::queueing_study(cfg).to_table(),
+            json: None,
+        }],
+        Study::Federate { preset } => {
+            let s = mmrepl_sim::federate_study(cfg, preset);
+            vec![StudyFile::new("federate", s.to_table(), &s)]
+        }
+        Study::Negotiate { central } => {
+            let s = mmrepl_sim::negotiate_study(cfg, *central);
+            vec![StudyFile::new("negotiate", s.to_table(), &s)]
+        }
+    }
 }
 
-fn federate(
-    preset: TopologyParams,
-    runs: usize,
-    seed: Option<u64>,
-    paper: bool,
-    out: &Path,
-    trace_out: Option<&Path>,
-) -> Result<(), CliError> {
-    let mut cfg = if paper {
-        mmrepl_sim::ExperimentConfig::paper()
-    } else {
-        mmrepl_sim::ExperimentConfig::quick()
+/// Prints each file's table and writes `<name>.txt` (and `<name>.json`)
+/// under `dir`.
+fn write_study(dir: &Path, files: &[StudyFile]) -> Result<(), CliError> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
+    let write = |file: String, text: &str| {
+        let path = dir.join(file);
+        std::fs::write(&path, text).map_err(|e| format!("writing {}: {e}", path.display()))
     };
-    cfg.runs = runs;
-    if let Some(s) = seed {
-        cfg.base_seed = s;
+    for f in files {
+        print!("{}", f.table);
+        write(format!("{}.txt", f.name), &f.table)?;
+        if let Some(json) = &f.json {
+            write(format!("{}.json", f.name), json)?;
+        }
     }
-    let study = with_trace(trace_out, || mmrepl_sim::federate_study(&cfg, &preset))?;
-    print!("{}", study.to_table());
-    std::fs::write(
-        out,
-        serde_json::to_string_pretty(&study).map_err(|e| e.to_string())?,
-    )
-    .map_err(|e| format!("writing {}: {e}", out.display()))?;
-    println!("wrote {}", out.display());
-    Ok(())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn negotiate(
-    central: f64,
-    runs: usize,
-    seed: Option<u64>,
-    paper: bool,
-    out: &Path,
-    trace_out: Option<&Path>,
-    expose: Option<&str>,
-    scrape_interval: f64,
-) -> Result<(), CliError> {
-    let mut cfg = if paper {
-        mmrepl_sim::ExperimentConfig::paper()
-    } else {
-        mmrepl_sim::ExperimentConfig::quick()
-    };
-    cfg.runs = runs;
-    if let Some(s) = seed {
-        cfg.base_seed = s;
-    }
-    let study = with_obs(trace_out, expose, scrape_interval, || {
-        mmrepl_sim::negotiate_study(&cfg, central)
-    })?;
-    print!("{}", study.to_table());
-    std::fs::write(
-        out,
-        serde_json::to_string_pretty(&study).map_err(|e| e.to_string())?,
-    )
-    .map_err(|e| format!("writing {}: {e}", out.display()))?;
-    println!("wrote {}", out.display());
+    println!("wrote {}", dir.display());
     Ok(())
 }
 
@@ -1147,42 +1075,47 @@ mod tests {
         assert!(err.contains("does not fit"), "{err}");
     }
 
+    /// A quick one-run `mmrepl study` command writing into `dir`.
+    fn quick_study(study: Study, seed: u64, dir: &Path, expose: Option<&Path>) -> Command {
+        let mut config = ExperimentConfig::quick();
+        config.runs = 1;
+        config.base_seed = seed;
+        Command::Study {
+            study,
+            config: Box::new(config),
+            out: dir.to_path_buf(),
+            trace_out: None,
+            expose: expose.map(|p| p.to_string_lossy().into_owned()),
+            scrape_interval: 0.05,
+        }
+    }
+
     #[test]
     fn sweep_writes_figure_json() {
-        let out = tmp("sweep-fig2.json");
-        run(Command::Sweep {
-            figure: 2,
-            runs: 1,
-            seed: 4,
-            paper: false,
-            out: out.clone(),
-            trace_out: None,
-        })
-        .unwrap();
-        let text = std::fs::read_to_string(&out).unwrap();
-        let fig: mmrepl_sim::FigureData = serde_json::from_str(&text).unwrap();
+        let dir = tmp("study-fig2");
+        run(quick_study(Study::Fig2, 4, &dir, None)).unwrap();
+        let text = std::fs::read_to_string(dir.join("figure2.json")).unwrap();
+        let fig: FigureData = serde_json::from_str(&text).unwrap();
         assert_eq!(fig.name, "figure2");
-        assert!(!fig.points.is_empty());
+        let xs: Vec<f64> = fig.points.iter().map(|p| p.x).collect();
+        assert_eq!(xs, PROCESSING_FRACTIONS);
+        assert_eq!(
+            std::fs::read_to_string(dir.join("figure2.txt")).unwrap(),
+            fig.to_table()
+        );
     }
 
     #[test]
     fn online_writes_study_json() {
-        let out = tmp("online-study.json");
-        run(Command::Online {
+        let dir = tmp("study-online");
+        let online = Study::Online {
             epochs: 1,
             rotation: 0.5,
             windows: 2,
             budget: 0.25,
-            runs: 1,
-            seed: Some(7),
-            paper: false,
-            out: out.clone(),
-            trace_out: None,
-            expose: None,
-            scrape_interval: 1.0,
-        })
-        .unwrap();
-        let text = std::fs::read_to_string(&out).unwrap();
+        };
+        run(quick_study(online, 7, &dir, None)).unwrap();
+        let text = std::fs::read_to_string(dir.join("online.json")).unwrap();
         let study: mmrepl_sim::OnlineStudy = serde_json::from_str(&text).unwrap();
         assert_eq!(study.epochs.len(), 2);
         assert!(study.epochs[1].series.contains_key("online"));
@@ -1190,17 +1123,12 @@ mod tests {
 
     #[test]
     fn federate_writes_study_json() {
-        let out = tmp("federate-study.json");
-        run(Command::Federate {
+        let dir = tmp("study-federate");
+        let federate = Study::Federate {
             preset: TopologyParams::edge(),
-            runs: 1,
-            seed: Some(11),
-            paper: false,
-            out: out.clone(),
-            trace_out: None,
-        })
-        .unwrap();
-        let text = std::fs::read_to_string(&out).unwrap();
+        };
+        run(quick_study(federate, 11, &dir, None)).unwrap();
+        let text = std::fs::read_to_string(dir.join("federate.json")).unwrap();
         let study: mmrepl_sim::FederateStudy = serde_json::from_str(&text).unwrap();
         assert_eq!(study.levels, 2);
         assert!(study.mean_response.contains_key("closest"));
@@ -1210,19 +1138,15 @@ mod tests {
 
     #[test]
     fn negotiate_writes_study_json() {
-        let out = tmp("negotiate-study.json");
-        run(Command::Negotiate {
-            central: 0.1,
-            runs: 1,
-            seed: Some(11),
-            paper: false,
-            out: out.clone(),
-            trace_out: None,
-            expose: None,
-            scrape_interval: 1.0,
-        })
+        let dir = tmp("study-negotiate");
+        run(quick_study(
+            Study::Negotiate { central: 0.1 },
+            11,
+            &dir,
+            None,
+        ))
         .unwrap();
-        let text = std::fs::read_to_string(&out).unwrap();
+        let text = std::fs::read_to_string(dir.join("negotiate.json")).unwrap();
         let study: mmrepl_sim::NegotiateStudy = serde_json::from_str(&text).unwrap();
         assert_eq!(study.runs, 1);
         let cell = study.cell("greedy", "reliable").expect("cell present");
@@ -1375,23 +1299,16 @@ mod tests {
     #[test]
     fn online_expose_writes_a_parseable_scrape_file() {
         let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let out = tmp("expose-online.json");
+        let dir = tmp("expose-online");
         let scrape = tmp("expose-online.prom");
         let _ = std::fs::remove_file(&scrape);
-        run(Command::Online {
+        let online = Study::Online {
             epochs: 1,
             rotation: 0.5,
             windows: 2,
             budget: 0.25,
-            runs: 1,
-            seed: Some(7),
-            paper: false,
-            out,
-            trace_out: None,
-            expose: Some(scrape.to_string_lossy().into_owned()),
-            scrape_interval: 0.05,
-        })
-        .unwrap();
+        };
+        run(quick_study(online, 7, &dir, Some(&scrape))).unwrap();
         // The exporter flushes once more on stop, so even a run shorter
         // than the interval leaves a final scrape behind.
         let text = std::fs::read_to_string(&scrape).unwrap();
@@ -1409,17 +1326,9 @@ mod tests {
     #[test]
     fn expose_rejects_an_empty_target() {
         let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let err = run(Command::Negotiate {
-            central: 0.3,
-            runs: 1,
-            seed: None,
-            paper: false,
-            out: tmp("expose-bad.json"),
-            trace_out: None,
-            expose: Some(String::new()),
-            scrape_interval: 1.0,
-        })
-        .unwrap_err();
+        let negotiate = Study::Negotiate { central: 0.3 };
+        let cmd = quick_study(negotiate, 7, &tmp("expose-bad"), Some(Path::new("")));
+        let err = run(cmd).unwrap_err();
         assert!(err.contains("--expose"), "{err}");
     }
 

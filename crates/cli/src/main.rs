@@ -6,6 +6,8 @@
 //! mmrepl plan      --system system.json --storage 0.65 --out placement.json
 //! mmrepl evaluate  --system system.json --placement placement.json --seed 42
 //! mmrepl evaluate  --system system.json --policy lru --seed 42
+//! mmrepl study     fig1                    # Figure 1 at paper scale into results/
+//! mmrepl study     online --quick --runs 1 --out /tmp/results
 //! ```
 //!
 //! Systems and placements travel as JSON, so plans can be diffed,

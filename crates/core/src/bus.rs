@@ -208,14 +208,8 @@ pub struct MessageBus<M> {
 }
 
 impl<M: Clone> MessageBus<M> {
-    /// A bus where every hop takes `latency` seconds one-way. The Table 1
-    /// estimates put client-repository RTT at 200 ms, so 100 ms one-way is
-    /// the natural default for site-repository control traffic.
-    pub fn new(latency: Secs) -> Self {
-        Self::with_faults(latency, FaultConfig::reliable())
-    }
-
-    /// A bus with seeded fault injection on top of the base latency.
+    /// A bus where every hop takes `latency` seconds one-way, with seeded
+    /// fault injection on top ([`FaultConfig::reliable`] for none).
     pub fn with_faults(latency: Secs, faults: FaultConfig) -> Self {
         assert!(latency.is_valid(), "invalid bus latency {latency:?}");
         faults
@@ -321,25 +315,6 @@ impl<M: Clone> MessageBus<M> {
         Some(env)
     }
 
-    /// Delivers up to `fuel` messages in time order, applying `f` to
-    /// each; messages sent *during* the drain are eligible too. Returns
-    /// the number still in flight when the fuel ran out (0 = drained).
-    ///
-    /// The fuel bound is what keeps reply-producing handlers safe: an
-    /// unbounded drain over a ping-pong exchange (every delivery sends a
-    /// new message) never observes an empty queue and livelocks. Callers
-    /// that know their protocol quiesces can size `fuel` generously and
-    /// treat a nonzero return as the protocol failing to settle.
-    pub fn drain(&mut self, fuel: usize, mut f: impl FnMut(&mut Self, Envelope<M>)) -> usize {
-        for _ in 0..fuel {
-            match self.deliver_next() {
-                Some(env) => f(self, env),
-                None => return 0,
-            }
-        }
-        self.in_flight()
-    }
-
     /// Delivery time of the next in-flight message, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.queue.peek_time()
@@ -375,25 +350,21 @@ impl<M: Clone> MessageBus<M> {
     pub fn stats(&self) -> BusStats {
         self.stats
     }
-
-    /// The configured one-way latency.
-    pub fn latency(&self) -> Secs {
-        self.latency
-    }
-
-    /// The configured fault knobs.
-    pub fn faults(&self) -> FaultConfig {
-        self.faults
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A fault-free bus with `latency` seconds per hop.
+    fn reliable<M: Clone>(latency: f64) -> MessageBus<M> {
+        MessageBus::with_faults(Secs(latency), FaultConfig::reliable())
+    }
 
     #[test]
     fn messages_arrive_after_latency() {
-        let mut bus: MessageBus<&str> = MessageBus::new(Secs(0.1));
+        let mut bus: MessageBus<&str> = reliable(0.1);
         bus.send(
             Endpoint::Site(SiteId::new(0)),
             Endpoint::Repository,
@@ -409,7 +380,7 @@ mod tests {
 
     #[test]
     fn peek_shows_the_next_delivery_without_taking_it() {
-        let mut bus: MessageBus<u32> = MessageBus::new(Secs(0.1));
+        let mut bus: MessageBus<u32> = reliable(0.1);
         assert!(bus.peek().is_none());
         for i in 0..3 {
             bus.send(Endpoint::Repository, Endpoint::Site(SiteId::new(i)), i);
@@ -423,7 +394,7 @@ mod tests {
 
     #[test]
     fn fifo_between_same_pair() {
-        let mut bus: MessageBus<u32> = MessageBus::new(Secs(0.05));
+        let mut bus: MessageBus<u32> = reliable(0.05);
         let s = Endpoint::Site(SiteId::new(1));
         for i in 0..5 {
             bus.send(s, Endpoint::Repository, i);
@@ -435,7 +406,7 @@ mod tests {
 
     #[test]
     fn request_reply_takes_two_latencies() {
-        let mut bus: MessageBus<&str> = MessageBus::new(Secs(0.1));
+        let mut bus: MessageBus<&str> = reliable(0.1);
         bus.send(
             Endpoint::Repository,
             Endpoint::Site(SiteId::new(2)),
@@ -453,19 +424,21 @@ mod tests {
     #[test]
     fn drain_handles_cascading_sends() {
         // Repository broadcasts; each site acks; repository counts acks.
-        let mut bus: MessageBus<&str> = MessageBus::new(Secs(0.1));
+        // Messages sent while delivering are delivered in time order too.
+        let mut bus: MessageBus<&str> = reliable(0.1);
         for i in 0..3 {
             bus.send(Endpoint::Repository, Endpoint::Site(SiteId::new(i)), "req");
         }
         let mut acks = 0;
-        let left = bus.drain(64, |bus, env| match env.payload {
-            "req" => {
-                bus.send(env.to, env.from, "ack");
+        while let Some(env) = bus.deliver_next() {
+            match env.payload {
+                "req" => {
+                    bus.send(env.to, env.from, "ack");
+                }
+                "ack" => acks += 1,
+                _ => unreachable!(),
             }
-            "ack" => acks += 1,
-            _ => unreachable!(),
-        });
-        assert_eq!(left, 0);
+        }
         assert_eq!(acks, 3);
         assert_eq!(
             bus.stats(),
@@ -476,36 +449,12 @@ mod tests {
             }
         );
         assert_eq!(bus.in_flight(), 0);
-    }
-
-    /// The livelock regression: a ping-pong handler (every delivery sends
-    /// a reply) means the queue never empties. The fuel bound must stop
-    /// the drain and report the in-flight remainder instead of spinning
-    /// forever.
-    #[test]
-    fn drain_fuel_bounds_a_ping_pong_livelock() {
-        let mut bus: MessageBus<u64> = MessageBus::new(Secs(0.01));
-        let site = Endpoint::Site(SiteId::new(0));
-        bus.send(Endpoint::Repository, site, 0);
-        let mut deliveries = 0u64;
-        let left = bus.drain(100, |bus, env| {
-            deliveries += 1;
-            // Pong: reply forever.
-            bus.send(env.to, env.from, env.payload + 1);
-        });
-        assert_eq!(deliveries, 100, "fuel must cap deliveries exactly");
-        assert_eq!(left, 1, "the last pong is still in flight");
-        assert_eq!(bus.in_flight(), 1);
-        // The bound is per-call: a fresh drain picks the exchange back up.
-        let left = bus.drain(10, |bus, env| {
-            bus.send(env.to, env.from, env.payload + 1);
-        });
-        assert_eq!(left, 1);
+        assert!((bus.now().get() - 0.2).abs() < 1e-12);
     }
 
     #[test]
     fn stats_track_sent_vs_delivered() {
-        let mut bus: MessageBus<()> = MessageBus::new(Secs(1.0));
+        let mut bus: MessageBus<()> = reliable(1.0);
         bus.send(Endpoint::Repository, Endpoint::Site(SiteId::new(0)), ());
         bus.send(Endpoint::Repository, Endpoint::Site(SiteId::new(1)), ());
         assert_eq!(bus.stats().sent, 2);
@@ -524,7 +473,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid bus latency")]
     fn rejects_negative_latency() {
-        let _: MessageBus<()> = MessageBus::new(Secs(-0.1));
+        let _: MessageBus<()> = reliable(-0.1);
     }
 
     #[test]
@@ -624,12 +573,60 @@ mod tests {
 
     #[test]
     fn advance_to_models_timeouts() {
-        let mut bus: MessageBus<()> = MessageBus::new(Secs(0.1));
+        let mut bus: MessageBus<()> = reliable(0.1);
         bus.advance_to(SimTime::new(1.5));
         assert_eq!(bus.now(), SimTime::new(1.5));
         // Sends after the wait depart from the advanced clock.
         bus.send(Endpoint::Repository, Endpoint::Site(SiteId::new(0)), ());
         let env = bus.deliver_next().unwrap();
         assert!((env.deliver_at.get() - 1.6).abs() < 1e-12);
+    }
+
+    proptest! {
+        /// Bus fault accounting closes at every observation point across
+        /// arbitrary send/deliver interleavings and fault mixes.
+        ///
+        /// Ledger algebra: each `send` yields one scheduled envelope (or
+        /// none, if dropped), a duplication fault yields one *extra*
+        /// envelope, and every scheduled envelope is eventually delivered
+        /// or still pending — so `sent + duplicated_extra == delivered +
+        /// dropped + in_flight`. Every arriving copy counts in
+        /// `delivered` (receivers dedup by `seq`), so the extra copies
+        /// sit on the left-hand side.
+        #[test]
+        fn bus_accounting_closes_under_faults(
+            seed in any::<u64>(),
+            drop in 0.0f64..0.9,
+            duplicate in 0.0f64..0.9,
+            reorder in 0.0f64..0.9,
+            jitter in 0.0f64..0.5,
+            // true = send a message, false = deliver one (no-op when empty).
+            ops in prop::collection::vec(any::<bool>(), 1..200),
+        ) {
+            let faults = FaultConfig { drop, duplicate, reorder, jitter: Secs(jitter), seed };
+            let mut bus: MessageBus<u32> = MessageBus::with_faults(Secs(0.1), faults);
+            let check = |bus: &MessageBus<u32>| {
+                let st = bus.stats();
+                st.sent + st.duplicated_extra == st.delivered + st.dropped + bus.in_flight() as u64
+            };
+            let mut payload = 0u32;
+            for op in ops {
+                if op {
+                    payload += 1;
+                    let from = Endpoint::Site(SiteId::new(payload % 5));
+                    bus.send(from, Endpoint::Repository, payload);
+                } else {
+                    let _ = bus.deliver_next();
+                }
+                prop_assert!(check(&bus), "ledger open mid-stream: {:?} + {} in flight",
+                    bus.stats(), bus.in_flight());
+            }
+            // Deliver to quiescence: with no reply handler the queue
+            // empties, and the ledger closes with in_flight = 0.
+            while bus.deliver_next().is_some() {}
+            prop_assert_eq!(bus.in_flight(), 0);
+            let st = bus.stats();
+            prop_assert_eq!(st.sent + st.duplicated_extra, st.delivered + st.dropped);
+        }
     }
 }

@@ -141,11 +141,6 @@ impl<E> EventQueue<E> {
         self.heap.len()
     }
 
-    /// Whether no events remain.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
     /// Schedules `event` at absolute time `at`.
     ///
     /// # Panics
@@ -163,11 +158,6 @@ impl<E> EventQueue<E> {
             seq,
             event,
         });
-    }
-
-    /// Schedules `event` `dt` seconds from now.
-    pub fn schedule_in(&mut self, dt: f64, event: E) {
-        self.schedule(self.now.after(dt), event);
     }
 
     /// Advances the clock to `at` without popping anything — the idle-wait
@@ -275,7 +265,7 @@ mod tests {
         q.pop();
         assert_eq!(q.now(), SimTime::new(7.0));
         assert_eq!(q.processed(), 2);
-        assert!(q.is_empty());
+        assert_eq!(q.pending(), 0);
     }
 
     #[test]
@@ -288,15 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_in_is_relative() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::new(4.0), 1);
-        q.pop();
-        q.schedule_in(2.5, 2);
-        assert_eq!(q.peek_time(), Some(SimTime::new(6.5)));
-    }
-
-    #[test]
     fn run_drains_and_allows_cascading() {
         // Each event may schedule follow-ups; run() must see them all.
         let mut q = EventQueue::new();
@@ -305,7 +286,7 @@ mod tests {
         let end = q.run(|q, t, n| {
             seen.push((t.get(), n));
             if n > 0 {
-                q.schedule_in(1.0, n - 1);
+                q.schedule(t.after(1.0), n - 1);
             }
         });
         assert_eq!(seen, vec![(1.0, 3), (2.0, 2), (3.0, 1), (4.0, 0)]);

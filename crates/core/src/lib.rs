@@ -31,10 +31,10 @@
 //!    configuration (greedy rounds over a reliable bus) is the paper's
 //!    stage 4, and seeded bus faults and alternative strategies are knobs
 //!    on the same run; [`offload`] holds the round arithmetic and the
-//!    site-side absorption it shares. The control plane it runs on is
-//!    [`bus`], a seeded fault-injecting message bus over the
-//!    deterministic [`event`] queue (which the simulator's event-driven
-//!    replay reuses).
+//!    site-side absorption it shares. The control plane it runs on is a
+//!    crate-private seeded fault-injecting message bus ([`FaultConfig`],
+//!    [`BusStats`]) over the deterministic [`event`] queue (which the
+//!    simulator's event-driven replay reuses).
 //!
 //! [`planner::ReplicationPolicy`] glues the stages together and returns the
 //! final [`mmrepl_model::Placement`] plus a [`planner::PlanReport`] of what
@@ -59,7 +59,7 @@
 
 pub mod audit;
 pub mod bits;
-pub mod bus;
+mod bus;
 pub mod capacity;
 pub mod event;
 pub mod lazyheap;

@@ -1,7 +1,7 @@
 //! The off-loading protocol: `OFF_LOADING_REPOSITORY` as typed
-//! proposal/counter-proposal messages over the [`crate::bus`] control
-//! plane, robust to the bus's seeded fault injection
-//! ([`crate::bus::FaultConfig`]). With the default configuration —
+//! proposal/counter-proposal messages over the crate's control-plane
+//! message bus, robust to the bus's seeded fault injection
+//! ([`crate::FaultConfig`]). With the default configuration —
 //! greedy strategy, reliable bus — it is the paper's stage 4, which the
 //! planner and [`crate::offload::run_offload`] run.
 //!

@@ -3,7 +3,6 @@
 //! with a from-scratch recomputation, and the restoration stages must
 //! deliver what they claim for arbitrary constraint tightness.
 
-use mmrepl_core::bus::{Endpoint, MessageBus};
 use mmrepl_core::{
     audit_site, check_repo_constraint, check_site_constraints, partition_all, restore_capacity,
     restore_storage, run_negotiation, run_offload, AncestorPolicy, AuditStage, EventQueue,
@@ -598,50 +597,5 @@ proptest! {
             last_t = t.get();
         }
         prop_assert_eq!(q.processed() as usize, times.len());
-    }
-
-    /// Bus fault accounting closes at every observation point across
-    /// arbitrary send/deliver interleavings and fault mixes.
-    ///
-    /// Ledger algebra: each `send` yields one scheduled envelope (or none,
-    /// if dropped), a duplication fault yields one *extra* envelope, and
-    /// every scheduled envelope is eventually delivered or still pending —
-    /// so `sent + duplicated_extra == delivered + dropped + in_flight`.
-    /// Every arriving copy counts in `delivered` (receivers dedup by
-    /// `seq`), so the extra copies sit on the left-hand side.
-    #[test]
-    fn bus_accounting_closes_under_faults(
-        seed in any::<u64>(),
-        drop in 0.0f64..0.9,
-        duplicate in 0.0f64..0.9,
-        reorder in 0.0f64..0.9,
-        jitter in 0.0f64..0.5,
-        // true = send a message, false = deliver one (no-op when empty).
-        ops in prop::collection::vec(any::<bool>(), 1..200),
-    ) {
-        let faults = FaultConfig { drop, duplicate, reorder, jitter: Secs(jitter), seed };
-        let mut bus: MessageBus<u32> = MessageBus::with_faults(Secs(0.1), faults);
-        let check = |bus: &MessageBus<u32>| {
-            let st = bus.stats();
-            st.sent + st.duplicated_extra == st.delivered + st.dropped + bus.in_flight() as u64
-        };
-        let mut payload = 0u32;
-        for op in ops {
-            if op {
-                payload += 1;
-                let from = Endpoint::Site(SiteId::new(payload % 5));
-                bus.send(from, Endpoint::Repository, payload);
-            } else {
-                let _ = bus.deliver_next();
-            }
-            prop_assert!(check(&bus), "ledger open mid-stream: {:?} + {} in flight",
-                bus.stats(), bus.in_flight());
-        }
-        // Drain to quiescence: the ledger must close with in_flight = 0,
-        // and a fuel-bounded drain with no reply handler always finishes.
-        let left = bus.drain(usize::MAX, |_, _| {});
-        prop_assert_eq!(left, 0);
-        let st = bus.stats();
-        prop_assert_eq!(st.sent + st.duplicated_extra, st.delivered + st.dropped);
     }
 }

@@ -7,7 +7,7 @@
 //! runs a background ticker that closes the view's windows and either
 //! answers HTTP `GET`s on a bound address or atomically rewrites a
 //! scrape file every interval — the `--expose <addr|file>` flag on
-//! `mmrepl online`/`route`/`negotiate`.
+//! `mmrepl study` and `mmrepl route`.
 //!
 //! The HTTP endpoint answers only `GET /metrics`. It reads at most
 //! [`MAX_HEAD`] bytes of request head within [`HEAD_TIMEOUT`], and refuses

@@ -57,6 +57,16 @@ impl ExperimentConfig {
     }
 }
 
+/// Figure 1's storage sweep (the paper ticks 0-100 % and calls out 65 %
+/// as the point where our policy matches LRU at full storage).
+pub const STORAGE_FRACTIONS: [f64; 6] = [0.2, 0.4, 0.6, 0.65, 0.8, 1.0];
+
+/// Figure 2 and 3's local processing sweep.
+pub const PROCESSING_FRACTIONS: [f64; 8] = [0.2, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0];
+
+/// Figure 3's repository capacities (90 %, 70 %, 50 %).
+pub const CENTRAL_FRACTIONS: [f64; 3] = [0.9, 0.7, 0.5];
+
 /// One x-position of a figure: the sweep value plus every series' mean
 /// relative response-time increase (in percent) and its run-to-run
 /// standard error.
@@ -106,7 +116,7 @@ impl FigureData {
         names
     }
 
-    /// Renders an aligned text table (the bins print this).
+    /// Renders an aligned text table (`mmrepl study` prints and writes it).
     pub fn to_table(&self) -> String {
         let names = self.series_names();
         let mut out = String::new();
@@ -156,13 +166,37 @@ pub struct Headline {
     pub ours_matches_lru_at: Option<f64>,
 }
 
-/// Per-run context: the generated system and its trace.
-struct RunCtx {
-    system: System,
-    traces: Vec<SiteTrace>,
+impl Headline {
+    /// Renders the claims next to the paper's values (`headline.txt`).
+    pub fn to_table(&self) -> String {
+        format!(
+            "\n# Section 5.2 headline numbers (paper: remote +335%, local +23.8%, \
+             lru@100% ~ +24%, ours matches lru@100% at ~65% storage)\n\
+             remote             : {:+8.1}%\n\
+             local              : {:+8.1}%\n\
+             lru @ 100% storage : {:+8.1}%\n\
+             ours @ 100% storage: {:+8.1}%\n\
+             ours matches lru@100% at storage fraction: {}\n",
+            self.remote_pct,
+            self.local_pct,
+            self.lru_full_pct,
+            self.ours_full_pct,
+            self.ours_matches_lru_at
+                .map(|f| format!("{:.0}%", f * 100.0))
+                .unwrap_or_else(|| "not reached".into()),
+        )
+    }
 }
 
-fn run_ctx(cfg: &ExperimentConfig, run: usize) -> RunCtx {
+/// Per-run context: the generated system and its trace.
+pub(crate) struct RunCtx {
+    pub(crate) system: System,
+    pub(crate) traces: Vec<SiteTrace>,
+}
+
+/// Run `run`'s context: a fresh system and trace from a seed derived
+/// from the base seed.
+pub(crate) fn run_ctx(cfg: &ExperimentConfig, run: usize) -> RunCtx {
     let seed = cfg
         .base_seed
         .wrapping_mul(0x9E3779B97F4A7C15)
@@ -499,6 +533,19 @@ mod tests {
         cfg.threads = 2;
         let b = figure2(&cfg, &[0.8]);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn sweep_fraction_sets_are_sane() {
+        for f in STORAGE_FRACTIONS
+            .into_iter()
+            .chain(PROCESSING_FRACTIONS)
+            .chain(CENTRAL_FRACTIONS)
+        {
+            assert!((0.0..=1.0).contains(&f));
+        }
+        assert!(STORAGE_FRACTIONS.contains(&0.65)); // the headline point
+        assert_eq!(CENTRAL_FRACTIONS, [0.9, 0.7, 0.5]);
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //!   One request loop serves both wait models: [`replay_all`] charges no
 //!   waits, [`queueing_replay`] charges FIFO waits;
 //! * [`queueing`] — the FIFO rules of the queueing extension (arrival
-//!   schedule and deterministic FIFO capacity servers): the paper treats
-//!   capacity as a planning constraint only; this quantifies what
-//!   overload would actually cost;
+//!   schedule and deterministic FIFO capacity servers) and its study: the
+//!   paper treats capacity as a planning constraint only; this quantifies
+//!   what overload would actually cost;
 //! * [`experiment`] — the Figure 1/2/3 sweeps: N independent runs
 //!   (fresh workload + trace per run), every policy replayed against the
 //!   *same* per-run trace, results normalized to our policy with no
@@ -79,7 +79,7 @@ pub use drift::{drift_study, DriftEpoch, DriftStudy};
 pub use federate::{federate_study, FederateStudy};
 pub use negotiate::{negotiate_study, NegotiateCell, NegotiateStudy};
 pub use online::{online_study, study_online_config, OnlineEpoch, OnlineStudy};
-pub use updates::{update_study, UpdatePoint, UpdateStudy};
+pub use updates::{update_study, UpdatePoint, UpdateStudy, UPDATE_RATES};
 
 pub use ablation::{
     ablation_amortization, ablation_greedy_gap, ablation_offload, ablation_partition_order,
@@ -87,6 +87,7 @@ pub use ablation::{
 };
 pub use experiment::{
     figure1, figure2, figure3, headline, ExperimentConfig, FigureData, FigurePoint, Headline,
+    CENTRAL_FRACTIONS, PROCESSING_FRACTIONS, STORAGE_FRACTIONS,
 };
-pub use queueing::queueing_replay;
+pub use queueing::{queueing_replay, queueing_study, QueueingStudy, QUEUEING_FRACTIONS};
 pub use replay::{replay_all, replay_site, ReplayOutcome};

@@ -6,19 +6,119 @@
 //! rate, every HTTP request occupies the serving machine for `1/C`
 //! seconds, and the resulting FIFO waits delay the corresponding download
 //! stream. It answers the question the paper leaves open — *what does an
-//! infeasible or barely-feasible placement actually cost users?* — and
-//! backs the `queueing` bin and the `ablations` bench.
+//! infeasible or barely-feasible placement actually cost users?* — in
+//! [`queueing_study`], and backs the `ablations` bench.
 //!
 //! The replay itself is [`crate::replay`]'s request loop; this module owns
 //! the FIFO rules it adds — the arrival schedule and the servers — which
 //! the crate's event-driven oracle reuses.
 
+use crate::experiment::{run_ctx, ExperimentConfig};
 use crate::replay::{replay, traced, ReplayOutcome};
 use crate::server::QueueingServer;
-use mmrepl_baselines::{RequestRouter, RouteDecision};
-use mmrepl_core::SimTime;
-use mmrepl_model::{Secs, System};
+use mmrepl_baselines::{RequestRouter, RouteDecision, StaticRouter};
+use mmrepl_core::{parallel_map, ReplicationPolicy, SimTime};
+use mmrepl_model::{Placement, Secs, System};
 use mmrepl_workload::{RequestStreams, SiteTrace};
+
+/// The local processing capacities the queueing study sweeps.
+pub const QUEUEING_FRACTIONS: [f64; 4] = [0.4, 0.6, 0.8, 1.0];
+
+/// One capacity level of the queueing study, averaged over runs.
+#[derive(Clone, Debug, PartialEq)]
+pub struct QueueingPoint {
+    /// Local processing capacity as a fraction of the all-local load.
+    pub capacity: f64,
+    /// Mean response of the planner's (feasible) placement, seconds.
+    pub planned_s: f64,
+    /// Mean response of the (infeasible) all-local placement, seconds.
+    pub all_local_s: f64,
+    /// Mean site wait of the all-local placement, seconds.
+    pub all_local_wait_s: f64,
+}
+
+/// The queueing study: what ignoring the processing-capacity constraint
+/// costs users once queueing delay is charged.
+#[derive(Clone, Debug, PartialEq)]
+pub struct QueueingStudy {
+    /// Runs averaged over.
+    pub runs: usize,
+    /// One point per [`QUEUEING_FRACTIONS`] entry, in sweep order.
+    pub points: Vec<QueueingPoint>,
+}
+
+impl QueueingStudy {
+    /// Renders the aligned text table (`queueing.txt`).
+    pub fn to_table(&self) -> String {
+        let mut table = format!(
+            "# queueing extension — response time with queueing delay charged ({} runs)\n\
+             {:>10} {:>16} {:>18} {:>18}\n",
+            self.runs, "capacity", "planner (feas.)", "all-local (infeas.)", "all-local wait"
+        );
+        for p in &self.points {
+            table.push_str(&format!(
+                "{:>9.0}% {:>14.1} s {:>16.1} s {:>16.1} s\n",
+                p.capacity * 100.0,
+                p.planned_s,
+                p.all_local_s,
+                p.all_local_wait_s,
+            ));
+        }
+        table
+    }
+}
+
+/// Replays the planner's feasible placement and the deliberately
+/// infeasible all-local placement with FIFO waits charged, at every
+/// [`QUEUEING_FRACTIONS`] capacity level, averaged over `cfg.runs` runs.
+pub fn queueing_study(cfg: &ExperimentConfig) -> QueueingStudy {
+    let per_run: Vec<Vec<(f64, f64, f64)>> = parallel_map(cfg.runs, cfg.threads, |run| {
+        let ctx = run_ctx(cfg, run);
+        QUEUEING_FRACTIONS
+            .iter()
+            .map(|&f| {
+                let sys_f = ctx.system.with_processing_fraction(f);
+                let planned = ReplicationPolicy::new().plan(&sys_f).placement;
+                let feasible = queueing_replay(
+                    &sys_f,
+                    &ctx.traces,
+                    &mut StaticRouter::new(&planned, "ours"),
+                );
+                let all_local = Placement::all_local(&sys_f);
+                let infeasible = queueing_replay(
+                    &sys_f,
+                    &ctx.traces,
+                    &mut StaticRouter::new(&all_local, "local"),
+                );
+                (
+                    feasible.mean_response(),
+                    infeasible.mean_response(),
+                    infeasible.site_waits.mean().map(|s| s.get()).unwrap_or(0.0),
+                )
+            })
+            .collect()
+    });
+    let n = per_run.len() as f64;
+    let points = QUEUEING_FRACTIONS
+        .iter()
+        .enumerate()
+        .map(|(i, &capacity)| {
+            let mean = |pick: fn(&(f64, f64, f64)) -> f64| {
+                per_run.iter().map(|r| pick(&r[i])).sum::<f64>() / n
+            };
+            QueueingPoint {
+                capacity,
+                planned_s: mean(|t| t.0),
+                all_local_s: mean(|t| t.1),
+                all_local_wait_s: mean(|t| t.2),
+            }
+        })
+        .collect();
+    QueueingStudy {
+        runs: cfg.runs,
+        points,
+    }
+}
 
 /// Replays all traces with FIFO queueing waits charged. Arrival times
 /// interleave across sites: request `i` at site `s` arrives at
@@ -180,6 +280,18 @@ mod tests {
         let placement = mmrepl_model::Placement::all_local(&sys);
         let q = queueing_replay(&sys, &traces, &mut StaticRouter::new(&placement, "local"));
         assert_eq!(q.repo_waits.count(), 0);
+    }
+
+    #[test]
+    fn study_sweeps_every_capacity_level() {
+        let mut cfg = ExperimentConfig::quick();
+        cfg.runs = 1;
+        let study = queueing_study(&cfg);
+        let caps: Vec<f64> = study.points.iter().map(|p| p.capacity).collect();
+        assert_eq!(caps, QUEUEING_FRACTIONS);
+        let table = study.to_table();
+        assert!(table.starts_with("# queueing extension"), "{table}");
+        assert_eq!(table.lines().count(), 2 + QUEUEING_FRACTIONS.len());
     }
 
     #[test]

@@ -79,6 +79,10 @@ impl UpdateStudy {
     }
 }
 
+/// The update study's mean update rates per object, updates/second: 0
+/// (the paper's read-only setting) up to 1/s.
+pub const UPDATE_RATES: [f64; 6] = [0.0, 0.05, 0.1, 0.25, 0.5, 1.0];
+
 /// Runs the sweep over `mean_rates` (mean updates/second per object; each
 /// object draws uniformly from `[0, 2·mean]`).
 pub fn update_study(cfg: &ExperimentConfig, mean_rates: &[f64]) -> UpdateStudy {

@@ -2,8 +2,8 @@
 //!
 //! [`WorkloadParams::paper`] reproduces the published values verbatim. The
 //! struct is deliberately exhaustive so that EXPERIMENTS.md can print the
-//! whole table straight from code (`cargo run -p mmrepl-bench --bin table1`)
-//! and so sensitivity studies can tweak a single knob.
+//! whole table straight from code (`mmrepl study table1`) and so
+//! sensitivity studies can tweak a single knob.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -431,8 +431,18 @@ impl WorkloadParams {
         Ok(())
     }
 
-    /// Renders the parameters as the rows of the paper's Table 1, for the
-    /// `table1` regeneration binary.
+    /// Renders Table 1 as an aligned text table (`results/table1.txt`).
+    pub fn table1(&self) -> String {
+        let rows = self.table1_rows();
+        let width = rows.iter().map(|(k, _)| k.len()).max().unwrap_or(0);
+        let mut out = String::from("# Table 1: Parameters used in experiments\n");
+        for (k, v) in &rows {
+            out.push_str(&format!("{k:<width$}  |  {v}\n"));
+        }
+        out
+    }
+
+    /// The parameters as the rows of the paper's Table 1.
     pub fn table1_rows(&self) -> Vec<(String, String)> {
         const KIB: f64 = 1024.0;
         let kib = |r: &Range| format!("{:.0}K-{:.0}K", r.lo / KIB, r.hi / KIB);

@@ -31,18 +31,14 @@ echo "==> cargo test (perfbench: its unit tests and correctness-gated smoke run)
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> differential-oracle fuzz smoke (deterministic seeds, audit hooks on)"
-cargo run --offline -p mmrepl-bench --bin fuzz -- --seeds 4
+cargo run --offline -p mmrepl-cli --bin mmrepl -- audit --seeds 4
 
-echo "==> online bin smoke run (quick scale)"
-SMOKE_OUT="$(mktemp -d -t mmrepl_online_smoke.XXXXXX)"
+SMOKE_OUT="$(mktemp -d -t mmrepl_smoke.XXXXXX)"
 trap 'rm -rf "$SMOKE_OUT"' EXIT
-cargo run --offline -p mmrepl-bench --bin online -- \
-    --quick --runs 1 --epochs 1 --windows 2 --out "$SMOKE_OUT" >/dev/null
-test -s "$SMOKE_OUT/online.json" && test -s "$SMOKE_OUT/online.txt"
 
 echo "==> queueing replay regenerates results/queueing.txt byte for byte (release)"
-cargo run --release --offline -q -p mmrepl-bench --bin queueing -- \
-    --out "$SMOKE_OUT" >/dev/null
+cargo run --release --offline -q -p mmrepl-cli --bin mmrepl -- \
+    study queueing --out "$SMOKE_OUT" >/dev/null
 cmp "$SMOKE_OUT/queueing.txt" results/queueing.txt
 echo "  queueing ok: FIFO replay table identical to the committed one"
 
@@ -114,9 +110,9 @@ EOF
 
 echo "==> negotiation smoke (greedy/reliable cell == default plan, no protocol faults, audit hooks on)"
 cargo run --offline -p mmrepl-cli --bin mmrepl -- \
-    negotiate --central 0.1 --runs 2 --seed 11 \
-    --out "$SMOKE_OUT/negotiate.json" >/dev/null
-python3 - "$SMOKE_OUT/negotiate.json" <<'EOF'
+    study negotiate --quick --central 0.1 --runs 2 --seed 11 \
+    --out "$SMOKE_OUT/negotiate" >/dev/null
+python3 - "$SMOKE_OUT/negotiate/negotiate.json" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 runs = doc["runs"]
@@ -140,7 +136,7 @@ print(f"  negotiate ok: greedy/reliable matches the default plan over {runs} run
 EOF
 
 echo "==> lossy negotiation smoke (termination + Eq. 8-10 over the same grid)"
-python3 - "$SMOKE_OUT/negotiate.json" <<'EOF'
+python3 - "$SMOKE_OUT/negotiate/negotiate.json" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 runs = doc["runs"]
@@ -165,9 +161,10 @@ EOF
 
 echo "==> telemetry smoke (exporter exposition + monotone counters across scrapes)"
 cargo run --offline -p mmrepl-cli --bin mmrepl -- \
-    online --runs 1 --epochs 1 --windows 2 --seed 7 \
-    --out "$SMOKE_OUT/online-telemetry.json" \
+    study online --quick --runs 1 --epochs 1 --windows 2 --seed 7 \
+    --out "$SMOKE_OUT/online" \
     --expose "$SMOKE_OUT/metrics.prom" --scrape-interval 0.05 >/dev/null
+test -s "$SMOKE_OUT/online/online.json" && test -s "$SMOKE_OUT/online/online.txt"
 cargo run --offline -p mmrepl-cli --bin mmrepl -- \
     top --study route --refresh 100 --frames 2 \
     --dump "$SMOKE_OUT/frames" --seed 7 >/dev/null
@@ -213,8 +210,8 @@ EOF
 
 echo "==> one registry, two views (trace counters == exposition _total counters)"
 cargo run --offline -p mmrepl-cli --bin mmrepl -- \
-    negotiate --central 0.1 --runs 1 --seed 11 \
-    --out "$SMOKE_OUT/negotiate-views.json" \
+    study negotiate --quick --central 0.1 --runs 1 --seed 11 \
+    --out "$SMOKE_OUT/negotiate-views" \
     --trace-out "$SMOKE_OUT/negotiate-views.jsonl" \
     --expose "$SMOKE_OUT/negotiate-views.prom" --scrape-interval 0.05 >/dev/null
 python3 - "$SMOKE_OUT/negotiate-views.jsonl" "$SMOKE_OUT/negotiate-views.prom" <<'EOF'

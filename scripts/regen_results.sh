@@ -4,12 +4,12 @@
 #
 #   scripts/regen_results.sh [OUT]
 #
-# Runs the twelve regeneration bins of mmrepl-bench in release at paper
-# scale, writing into OUT (default: a temporary directory, removed on
-# exit), with `negotiate` at `--central 0.1` as the committed table was
-# made. Then `cmp`s every file of results/ against its fresh copy and
-# exits 1 if any differs or is missing. Takes about 8 minutes on 2 vCPUs
-# (`caches` alone about 4).
+# Builds mmrepl in release once and runs `mmrepl study NAME` for the
+# twelve study names at paper scale, writing into OUT (default: a
+# temporary directory, removed on exit), with `negotiate` at
+# `--central 0.1` as the committed table was made. Then `cmp`s every
+# file of results/ against its fresh copy and exits 1 if any differs or
+# is missing. Takes about 8 minutes on 2 vCPUs (`caches` alone about 4).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,14 +25,13 @@ else
     trap 'rm -rf "$out"' EXIT
 fi
 
-cargo build --release --offline -q -p mmrepl-bench --bins
-for bin in table1 fig1 fig2 fig3 ablations drift online caches updates \
+cargo build --release --offline -q -p mmrepl-cli
+for study in table1 fig1 fig2 fig3 ablations drift online caches updates \
     queueing federate negotiate; do
     extra=()
-    [ "$bin" = negotiate ] && extra=(--central 0.1)
-    echo "==> $bin"
-    cargo run --release --offline -q -p mmrepl-bench --bin "$bin" -- \
-        --out "$out" "${extra[@]}" >/dev/null
+    [ "$study" = negotiate ] && extra=(--central 0.1)
+    echo "==> $study"
+    target/release/mmrepl study "$study" --out "$out" "${extra[@]}" >/dev/null
 done
 
 status=0
