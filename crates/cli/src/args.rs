@@ -180,6 +180,30 @@ impl fmt::Display for StudyName {
     }
 }
 
+impl StudyName {
+    /// The `mmrepl study` run `top --study NAME` drives in the background:
+    /// the study's own defaults at `--quick --runs 1`, taken from the
+    /// `study` parser so the two never disagree. `None` for `route`,
+    /// which is a routing loop rather than a study.
+    pub fn quick_study(self, seed: Option<u64>) -> Option<(Study, ExperimentConfig)> {
+        let name = match self {
+            StudyName::Online => "online",
+            StudyName::Negotiate => "negotiate",
+            StudyName::Route => return None,
+        };
+        let mut argv: Vec<String> = ["study", name, "--quick", "--runs", "1"]
+            .map(String::from)
+            .into();
+        if let Some(seed) = seed {
+            argv.extend(["--seed".to_string(), seed.to_string()]);
+        }
+        match Command::parse(&argv) {
+            Ok(Command::Study { study, config, .. }) => Some((study, *config)),
+            other => unreachable!("study {name} --quick parses to a study, got {other:?}"),
+        }
+    }
+}
+
 /// The names `mmrepl study` accepts, in `results/` order.
 pub const STUDY_NAMES: [&str; 12] = [
     "table1",
@@ -1269,6 +1293,41 @@ mod tests {
             parse(&["top", "--study", "federate"]),
             Err(ParseError::Invalid(_))
         ));
+    }
+
+    #[test]
+    fn top_runs_the_quick_one_run_study_configuration() {
+        for (name, top) in [
+            ("online", StudyName::Online),
+            ("negotiate", StudyName::Negotiate),
+        ] {
+            for seed in [None, Some(7)] {
+                let mut argv = vec!["study", name, "--quick", "--runs", "1"];
+                let seed_arg = seed.map(|s: u64| s.to_string());
+                if let Some(s) = &seed_arg {
+                    argv.extend(["--seed", s.as_str()]);
+                }
+                let (study, config, _) = study(&argv);
+                assert_eq!(
+                    top.quick_study(seed),
+                    Some((study, config)),
+                    "{name} {seed:?}"
+                );
+            }
+        }
+        // The study's own defaults, not a second copy of them.
+        let (online, config) = StudyName::Online.quick_study(None).unwrap();
+        assert_eq!(
+            online,
+            Study::Online {
+                epochs: 3,
+                rotation: 0.5,
+                windows: 4,
+                budget: 0.25,
+            }
+        );
+        assert_eq!(config.runs, 1);
+        assert_eq!(StudyName::Route.quick_study(None), None);
     }
 
     #[test]

@@ -259,49 +259,29 @@ fn top(
     Ok(())
 }
 
-/// The background workload one `mmrepl top` invocation watches: a
-/// single quick-scale run of the named study, publishing into the
-/// recorder as it goes.
+/// The background workload one `mmrepl top` invocation watches, publishing
+/// into the recorder as it goes: `online` and `negotiate` run the
+/// `mmrepl study NAME --quick --runs 1` configuration (no files are
+/// written), `route` routes one small plan's traces in a loop.
 fn run_top_study(study: StudyName, seed: Option<u64>) {
-    let quick = |seed: Option<u64>| {
-        let mut cfg = mmrepl_sim::ExperimentConfig::quick();
-        cfg.runs = 1;
-        if let Some(s) = seed {
-            cfg.base_seed = s;
-        }
-        cfg
+    if let Some((study, config)) = study.quick_study(seed) {
+        run_study(&study, &config);
+        return;
+    }
+    let seed = seed.unwrap_or(0);
+    let Ok(system) = generate_system(&WorkloadParams::small(), seed) else {
+        return;
     };
-    match study {
-        StudyName::Online => {
-            mmrepl_sim::online_study(
-                &quick(seed),
-                2,
-                0.5,
-                2,
-                0.25,
-                &mmrepl_sim::study_online_config(),
-            );
-        }
-        StudyName::Negotiate => {
-            mmrepl_sim::negotiate_study(&quick(seed), 0.3);
-        }
-        StudyName::Route => {
-            let seed = seed.unwrap_or(0);
-            let Ok(system) = generate_system(&WorkloadParams::small(), seed) else {
-                return;
-            };
-            let outcome = ReplicationPolicy::new().plan(&system);
-            let snap = std::sync::Arc::new(PlacementSnapshot::from_plan(&system, &outcome, 0));
-            mmrepl_serve::register_latency_slo(&snap);
-            let traces = generate_trace(
-                &system,
-                &TraceConfig::from_params(&WorkloadParams::small()),
-                seed,
-            );
-            for _ in 0..40 {
-                route_traces(&snap, &traces, 1);
-            }
-        }
+    let outcome = ReplicationPolicy::new().plan(&system);
+    let snap = std::sync::Arc::new(PlacementSnapshot::from_plan(&system, &outcome, 0));
+    mmrepl_serve::register_latency_slo(&snap);
+    let traces = generate_trace(
+        &system,
+        &TraceConfig::from_params(&WorkloadParams::small()),
+        seed,
+    );
+    for _ in 0..40 {
+        route_traces(&snap, &traces, 1);
     }
 }
 

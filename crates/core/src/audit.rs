@@ -189,8 +189,12 @@ pub fn audit_site(work: &SiteWork<'_>, stage: AuditStage) -> Result<(), Box<Dive
         let f = page.freq.get();
 
         let mut s = Streams::all_local_base(page.html_size);
+        let mut stored_remote = 0u32;
         for (slot, &k) in page.compulsory.iter().enumerate() {
             let size = sys.object_size(k);
+            if !part.local_compulsory[slot] && work.is_stored(k) {
+                stored_remote += 1;
+            }
             if part.local_compulsory[slot] {
                 if !work.is_stored(k) {
                     return Err(diverged(
@@ -216,6 +220,17 @@ pub fn audit_site(work: &SiteWork<'_>, stage: AuditStage) -> Result<(), Box<Dive
                 "stream totals",
                 format!("{:?}", work.streams(idx)),
                 format!("{s:?}"),
+                format!("page {pid} (index {idx})"),
+            ));
+        }
+
+        if stored_remote != work.stored_remote(idx) {
+            return Err(diverged(
+                site,
+                stage,
+                "stored-but-remote compulsory slots",
+                work.stored_remote(idx),
+                stored_remote,
                 format!("page {pid} (index {idx})"),
             ));
         }

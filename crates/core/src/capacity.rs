@@ -15,7 +15,7 @@
 //! mark counts ([`crate::state`]), never the system's page or object
 //! tables.
 
-use crate::lazyheap::LazyMinHeap;
+use crate::lazyheap::{pack_slot, unpack_slot, LazyMinHeap};
 use crate::state::{SiteWork, SlotKind};
 use serde::{Deserialize, Serialize};
 
@@ -37,8 +37,9 @@ pub struct CapacityReport {
     pub feasible: bool,
 }
 
-/// One candidate mark, identified by page index, slot and kind.
-type Candidate = (u32, u32, SlotKind);
+/// One candidate mark: page index, slot and kind, packed by
+/// [`pack_slot`].
+type Candidate = u64;
 
 /// Restores Eq. 8 for one site.
 pub fn restore_capacity(work: &mut SiteWork<'_>) -> CapacityReport {
@@ -61,22 +62,22 @@ pub fn restore_capacity(work: &mut SiteWork<'_>) -> CapacityReport {
         let part = work.partition(idx);
         for (slot, &local) in part.local_compulsory.iter().enumerate() {
             if local {
-                let cand = (idx as u32, slot as u32, SlotKind::Compulsory);
+                let cand = pack_slot(idx, slot, SlotKind::Compulsory);
                 seed.push((ratio(work, cand), cand));
             }
         }
         for (slot, &local) in part.local_optional.iter().enumerate() {
             if local {
-                let cand = (idx as u32, slot as u32, SlotKind::Optional);
+                let cand = pack_slot(idx, slot, SlotKind::Optional);
                 seed.push((ratio(work, cand), cand));
             }
         }
     }
     let mut heap = LazyMinHeap::from_entries(seed);
 
-    let still_local = |work: &SiteWork<'_>, (idx, slot, kind): Candidate| match kind {
-        SlotKind::Compulsory => work.partition(idx as usize).local_compulsory[slot as usize],
-        SlotKind::Optional => work.partition(idx as usize).local_optional[slot as usize],
+    let still_local = |work: &SiteWork<'_>, cand: Candidate| match unpack_slot(cand) {
+        (idx, slot, SlotKind::Compulsory) => work.partition(idx).local_compulsory[slot],
+        (idx, slot, SlotKind::Optional) => work.partition(idx).local_optional[slot],
     };
 
     let mut affected = Vec::new();
@@ -85,9 +86,7 @@ pub fn restore_capacity(work: &mut SiteWork<'_>) -> CapacityReport {
             report.feasible = false;
             break;
         };
-        let (idx, slot, kind) = cand;
-        let (idx, slot) = (idx as usize, slot as usize);
-
+        let (idx, slot, kind) = unpack_slot(cand);
         let (o, size) = match kind {
             SlotKind::Compulsory => {
                 work.set_compulsory(idx, slot, false);
@@ -119,8 +118,8 @@ pub fn restore_capacity(work: &mut SiteWork<'_>) -> CapacityReport {
 
 /// The greedy key: objective damage per request/second of load freed.
 /// Reads the site's slot arenas only.
-fn ratio(work: &SiteWork<'_>, (idx, slot, kind): Candidate) -> f64 {
-    let (idx, slot) = (idx as usize, slot as usize);
+fn ratio(work: &SiteWork<'_>, cand: Candidate) -> f64 {
+    let (idx, slot, kind) = unpack_slot(cand);
     let freq = work.freq(idx);
     // Moving the object's *last* local mark lets the dealloc that follows
     // also shed its refresh load (zero unless update accounting is on).

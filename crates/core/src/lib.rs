@@ -82,7 +82,7 @@ pub use bits::DenseBits;
 pub use bus::{BusStats, FaultConfig};
 pub use capacity::{restore_capacity, CapacityReport};
 pub use event::{EventQueue, SimTime};
-pub use lazyheap::LazyMinHeap;
+pub use lazyheap::{pack_slot, unpack_slot, LazyMinHeap};
 pub use negotiate::{
     run_negotiation, NegotiateConfig, NegotiateMsg, NegotiateOutcome, NegotiateReport, StrategyKind,
 };

@@ -26,7 +26,7 @@
 //! [`paper_round_plan`] and [`absorb_workload`].
 
 use crate::bits::DenseBits;
-use crate::lazyheap::LazyMinHeap;
+use crate::lazyheap::{pack_slot, unpack_slot, LazyMinHeap};
 use crate::negotiate::{run_negotiation, NegotiateConfig};
 use crate::state::{SiteWork, SlotKind};
 use mmrepl_model::{ObjectId, Secs};
@@ -280,27 +280,10 @@ pub fn absorb_workload(
     }
 }
 
-/// A remote download `(local page idx, slot, kind)`, packed so that
-/// integer order is the `(idx, slot, kind)` order greedy ties break on
-/// (compulsory before optional at the same slot).
+/// A remote download `(local page idx, slot, kind)`, packed by
+/// [`pack_slot`] so that integer order is the `(idx, slot, kind)` order
+/// greedy ties break on.
 type Candidate = u64;
-
-fn pack(idx: usize, slot: usize, kind: SlotKind) -> Candidate {
-    ((idx as u64) << 33) | ((slot as u64) << 1) | (kind == SlotKind::Optional) as u64
-}
-
-fn unpack(cand: Candidate) -> (usize, usize, SlotKind) {
-    let kind = if cand & 1 == 0 {
-        SlotKind::Compulsory
-    } else {
-        SlotKind::Optional
-    };
-    (
-        (cand >> 33) as usize,
-        ((cand >> 1) & 0xFFFF_FFFF) as usize,
-        kind,
-    )
-}
 
 /// Greedy re-marking core shared by both absorption phases: every remote
 /// slot, cheapest objective damage per unit of workload first, through
@@ -314,13 +297,13 @@ fn absorb_greedy(work: &mut SiteWork<'_>, amount: f64, allow_alloc: bool) -> f64
         let part = work.partition(idx);
         for (slot, &local) in part.local_compulsory.iter().enumerate() {
             if !local {
-                let cand = pack(idx, slot, SlotKind::Compulsory);
+                let cand = pack_slot(idx, slot, SlotKind::Compulsory);
                 entries.push((gain_ratio(work, cand), cand));
             }
         }
         for (slot, &local) in part.local_optional.iter().enumerate() {
             if !local {
-                let cand = pack(idx, slot, SlotKind::Optional);
+                let cand = pack_slot(idx, slot, SlotKind::Optional);
                 entries.push((gain_ratio(work, cand), cand));
             }
         }
@@ -333,7 +316,7 @@ fn absorb_greedy(work: &mut SiteWork<'_>, amount: f64, allow_alloc: bool) -> f64
         let Some(cand) = heap.pop_current(|_| true, |c| gain_ratio(work, c)) else {
             break;
         };
-        let (idx, slot, kind) = unpack(cand);
+        let (idx, slot, kind) = unpack_slot(cand);
         let (o, size, gain) = match kind {
             SlotKind::Compulsory => {
                 let (o, size) = work.comp_slot(idx, slot);
@@ -375,7 +358,7 @@ fn absorb_greedy(work: &mut SiteWork<'_>, amount: f64, allow_alloc: bool) -> f64
 /// gained (negative = taking this download actually *improves* response
 /// time — those go first).
 fn gain_ratio(work: &SiteWork<'_>, cand: Candidate) -> f64 {
-    let (idx, slot, kind) = unpack(cand);
+    let (idx, slot, kind) = unpack_slot(cand);
     let freq = work.freq(idx);
     match kind {
         SlotKind::Compulsory => {

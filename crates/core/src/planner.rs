@@ -339,13 +339,14 @@ impl ReplicationPolicy {
         if mmrepl_obs::enabled() {
             let mut pops = 0u64;
             let (mut dealloc, mut orphaned, mut repart, mut freed) = (0u64, 0u64, 0u64, 0u64);
-            let mut repart_calls = 0u64;
+            let (mut repart_calls, mut repart_skipped) = (0u64, 0u64);
             for st in &storage {
                 pops += st.heap_pops;
                 dealloc += st.deallocated as u64;
                 orphaned += st.orphaned as u64;
                 repart += st.repartitioned as u64;
                 repart_calls += st.repartition_calls;
+                repart_skipped += st.repartition_skipped;
                 freed += st.bytes_freed;
             }
             mmrepl_obs::add("storage.heap_pops", pops);
@@ -353,6 +354,7 @@ impl ReplicationPolicy {
             mmrepl_obs::add("storage.orphaned", orphaned);
             mmrepl_obs::add("storage.repartitioned", repart);
             mmrepl_obs::add("storage.repartition_calls", repart_calls);
+            mmrepl_obs::add("storage.repartition_skipped", repart_skipped);
             mmrepl_obs::add("storage.bytes_freed", freed);
             let mut pops = 0u64;
             let (mut moves, mut dealloc, mut freed) = (0u64, 0u64, 0u64);
@@ -434,14 +436,25 @@ impl ReplicationPolicy {
         // Feasibility and objective: tree systems check Eq. 9 per
         // serving node and price the remote stream over the selected
         // channels; star systems keep the paper's global check verbatim.
-        let (check, objective) = match &selection {
-            None => {
-                let check = ConstraintReport::check(system, &placement);
-                let cm = mmrepl_model::CostModel::new(system, self.config.cost);
-                (check, cm.objective(&placement))
-            }
-            Some(sel) => {
-                let check = ConstraintReport::check_with_serving(system, &placement, &sel.serving);
+        // The two are independent reads of the final placement, so they
+        // run as two jobs on the pool (one after the other at one thread
+        // or inside a pool worker), each computed exactly as it would be
+        // alone.
+        enum Verdict {
+            Check(ConstraintReport),
+            Objective(f64),
+        }
+        let verdicts = crate::pool::parallel_map(2, threads, |job| match (job, &selection) {
+            (0, None) => Verdict::Check(ConstraintReport::check(system, &placement)),
+            (0, Some(sel)) => Verdict::Check(ConstraintReport::check_with_serving(
+                system,
+                &placement,
+                &sel.serving,
+            )),
+            (_, None) => Verdict::Objective(
+                mmrepl_model::CostModel::new(system, self.config.cost).objective(&placement),
+            ),
+            (_, Some(sel)) => {
                 let channels: IdVec<SiteId, ServingChannel> = system
                     .sites()
                     .ids()
@@ -453,8 +466,14 @@ impl ReplicationPolicy {
                     .collect();
                 let cm =
                     mmrepl_model::CostModel::with_channels(system, self.config.cost, &channels);
-                (check, cm.objective(&placement))
+                Verdict::Objective(cm.objective(&placement))
             }
+        });
+        let mut verdicts = verdicts.into_iter();
+        let (Some(Verdict::Check(check)), Some(Verdict::Objective(objective))) =
+            (verdicts.next(), verdicts.next())
+        else {
+            unreachable!("job 0 checks, job 1 prices")
         };
         let update_ok = !self.config.include_update_load
             || mmrepl_model::UpdateAwareReport::check(system, &placement).is_feasible();

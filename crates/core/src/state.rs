@@ -36,30 +36,21 @@
 //! object is in the site's store**, and the store is exactly the set of
 //! objects with at least one local mark (plus objects explicitly allocated
 //! during off-loading that are about to gain one).
+//!
+//! A second per-page count rides on it: `stored_remote[idx]` is the
+//! number of page `idx`'s compulsory slots whose object is stored but
+//! marked remote. A slot enters the count when its mark flips remote
+//! (its object is stored, by the invariant) or when its object is
+//! allocated (every slot of an unstored object is remote), and leaves it
+//! when its mark flips local or its object leaves the store. At zero, the
+//! page's remote stream is exactly its unstored objects, which is what
+//! lets [`SiteWork::repartition_page`] prove a call a no-op without
+//! running the greedy (see [`crate::storage`]). The auditor recounts it
+//! from scratch.
 
 use crate::bits::DenseBits;
 use crate::streams::{OptionalCost, SiteParams, Streams};
 use mmrepl_model::{Bytes, CostParams, ObjectId, PageId, PagePartition, Placement, SiteId, System};
-
-/// A totally ordered `f64` key for greedy heaps (orders by
-/// `f64::total_cmp`; the algorithms never produce NaN, but the type stays
-/// total anyway).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TotalF64(pub f64);
-
-impl Eq for TotalF64 {}
-
-impl PartialOrd for TotalF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for TotalF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
 
 /// Which half of a page's reference list a mark lives in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -125,6 +116,12 @@ pub struct SiteWork<'a> {
     /// (size desc, slot asc) — the repartition greedy's visit order,
     /// computed once instead of sorted on every call.
     comp_slot_ord: Vec<u32>,
+    /// Per page, its compulsory slots whose object is stored but marked
+    /// remote (see the layout notes above).
+    stored_remote: Vec<u32>,
+    /// [`SiteWork::repartition_page`] calls the no-op precheck answered
+    /// without running the greedy.
+    repartition_skipped: u64,
     /// Forward arena offsets for optional slots, like `comp_slot_off`.
     opt_slot_off: Vec<u32>,
     /// Local object index per optional slot.
@@ -282,18 +279,19 @@ impl<'a> SiteWork<'a> {
             }
         }
 
-        // Per-page repartition visit order: (size desc, slot asc), the
-        // exact comparator the old per-call sort used. Arena positions are
-        // slot-ascending within a page, so position order is slot order.
-        let mut comp_slot_ord: Vec<u32> = (0..n_comp_slots as u32).collect();
+        // Per-page repartition visit order: (size desc, slot asc). Arena
+        // positions are slot-ascending within a page, so position order is
+        // slot order, and the packed key `!size << 32 | position` sorts in
+        // exactly that order (keys are distinct, so unstable is stable).
+        let mut ord_keys: Vec<u128> = comp_slot_size
+            .iter()
+            .enumerate()
+            .map(|(pos, size)| (u128::from(!size.get()) << 32) | pos as u128)
+            .collect();
         for idx in 0..pages.len() {
-            let range = comp_slot_off[idx] as usize..comp_slot_off[idx + 1] as usize;
-            comp_slot_ord[range].sort_unstable_by(|&a, &b| {
-                comp_slot_size[b as usize]
-                    .cmp(&comp_slot_size[a as usize])
-                    .then(a.cmp(&b))
-            });
+            ord_keys[comp_slot_off[idx] as usize..comp_slot_off[idx + 1] as usize].sort_unstable();
         }
+        let comp_slot_ord: Vec<u32> = ord_keys.into_iter().map(|key| key as u32).collect();
 
         // Pass C — adopt the placement's marks into streams, load, store
         // bits and mark counts.
@@ -363,6 +361,16 @@ impl<'a> SiteWork<'a> {
             parts.push(part);
         }
 
+        let stored_remote: Vec<u32> = (0..pages.len())
+            .map(|idx| {
+                let base = comp_slot_off[idx] as usize;
+                let marks = &parts[idx].local_compulsory;
+                (base..comp_slot_off[idx + 1] as usize)
+                    .filter(|&s| !marks[s - base] && store.get(comp_slot_lobj[s] as usize))
+                    .count() as u32
+            })
+            .collect();
+
         let update_load = if count_updates {
             store
                 .iter_ones()
@@ -400,6 +408,8 @@ impl<'a> SiteWork<'a> {
             comp_slot_lobj,
             comp_slot_size,
             comp_slot_ord,
+            stored_remote,
+            repartition_skipped: 0,
             opt_slot_off,
             opt_slot_lobj,
             opt_slot_size,
@@ -724,9 +734,11 @@ impl<'a> SiteWork<'a> {
             self.streams[idx].move_to_local(size);
             self.load += self.freq[idx];
             self.mark_count[o] += 1;
+            self.stored_remote[idx] -= 1;
         } else {
             self.streams[idx].move_to_remote(size);
             self.load -= self.freq[idx];
+            self.stored_remote[idx] += 1;
             assert!(self.mark_count[o] > 0, "unmarking an object with no marks");
             self.mark_count[o] -= 1;
             if self.mark_count[o] == 0 {
@@ -790,8 +802,25 @@ impl<'a> SiteWork<'a> {
         let inserted = self.store.set(o);
         if inserted {
             self.charge_alloc(self.local_objects[o]);
+            self.count_store_change(o, true);
         }
         inserted
+    }
+
+    /// Moves every compulsory slot of local object `o` into (`stored`) or
+    /// out of `stored_remote`, as `o` enters or leaves the store. Every
+    /// such slot is marked remote then: an unstored object has no local
+    /// mark, and one leaves the store only after its last.
+    fn count_store_change(&mut self, o: usize, stored: bool) {
+        let refs = &self.comp_dat[self.comp_off[o] as usize..self.comp_off[o + 1] as usize];
+        for &(idx, _) in refs {
+            let count = &mut self.stored_remote[idx as usize];
+            if stored {
+                *count += 1;
+            } else {
+                *count -= 1;
+            }
+        }
     }
 
     /// Storage and refresh-load bookkeeping of a fresh allocation.
@@ -882,6 +911,7 @@ impl<'a> SiteWork<'a> {
         }
         self.scratch_refs = refs;
         if self.store.clear(o) {
+            self.count_store_change(o, false);
             let object = self.local_objects[o];
             self.stored_bytes -= self.sys.object_size(object).get();
             if self.count_updates {
@@ -904,7 +934,13 @@ impl<'a> SiteWork<'a> {
         let mut freed = 0;
         for k in worklist.drain(..) {
             let removed = match self.local_of(k) {
-                Some(o) => self.mark_count[o] == 0 && self.store.clear(o),
+                Some(o) => {
+                    let cleared = self.mark_count[o] == 0 && self.store.clear(o);
+                    if cleared {
+                        self.count_store_change(o, false);
+                    }
+                    cleared
+                }
                 None => self.foreign_remove(k),
             };
             if !removed {
@@ -927,13 +963,101 @@ impl<'a> SiteWork<'a> {
     /// adjustment). The new assignment is applied only if it improves the
     /// page's objective contribution. Returns whether anything changed.
     ///
-    /// The candidate is priced without touching the page: its streams are
-    /// integer byte sums and its optional cost is the current one advanced
-    /// by the differing slots' flips. A rejected candidate writes back only
-    /// the float state (`load` and the page's optional cost), each advanced
-    /// through the apply-then-revert sequence a trial write would have run,
-    /// so the result is bit-identical to applying and reverting it.
+    /// A page the no-op precheck covers ([`crate::storage`] states the
+    /// bound) returns `false` at once: its candidate provably equals its
+    /// marks, so the full path would write nothing. Debug builds run the
+    /// full candidate anyway and assert that it flips nothing.
+    ///
+    /// Otherwise the candidate is priced without touching the page: its
+    /// streams are integer byte sums and its optional cost is the current
+    /// one advanced by the differing slots' flips. A rejected candidate
+    /// writes back only the float state (`load` and the page's optional
+    /// cost), each advanced through the apply-then-revert sequence a trial
+    /// write would have run, so the result is bit-identical to applying
+    /// and reverting it.
     pub fn repartition_page(&mut self, idx: usize) -> bool {
+        if self.repartition_is_noop(idx) {
+            self.repartition_skipped += 1;
+            if cfg!(debug_assertions) {
+                self.repartition_candidate(idx);
+                assert!(
+                    self.scratch_comp_flips.is_empty() && self.scratch_opt_flips.is_empty(),
+                    "repartition precheck skipped page {idx} of {}, whose candidate flips marks",
+                    self.site
+                );
+            }
+            return false;
+        }
+        let cand = self.repartition_candidate(idx);
+        let comp_flips = std::mem::take(&mut self.scratch_comp_flips);
+        let opt_flips = std::mem::take(&mut self.scratch_opt_flips);
+        let changed = if comp_flips.is_empty() && opt_flips.is_empty() {
+            false
+        } else {
+            let p = self.params;
+            let obase = self.opt_slot_off[idx] as usize;
+            let part = &self.parts[idx];
+            let mut oc = self.opt_cost[idx].clone();
+            for &slot in &opt_flips {
+                let s = obase + slot as usize;
+                let now_local = !part.local_optional[slot as usize];
+                oc.flip(self.opt_slot_prob[s], self.opt_slot_size[s], now_local, &p);
+            }
+            let before = self.page_d(idx);
+            let after =
+                self.freq[idx] * (self.alpha1 * cand.response(&p) + self.alpha2 * oc.time());
+            if after < before - 1e-12 {
+                for &slot in &comp_flips {
+                    let slot = slot as usize;
+                    let mark = !self.parts[idx].local_compulsory[slot];
+                    self.set_compulsory(idx, slot, mark);
+                }
+                for &slot in &opt_flips {
+                    let slot = slot as usize;
+                    let mark = !self.parts[idx].local_optional[slot];
+                    self.set_optional(idx, slot, mark);
+                }
+                true
+            } else {
+                self.replay_rejected(idx, &comp_flips, &opt_flips, oc);
+                false
+            }
+        };
+        self.scratch_comp_flips = comp_flips;
+        self.scratch_opt_flips = opt_flips;
+        changed
+    }
+
+    /// Whether re-partitioning page `idx` provably changes nothing, decided
+    /// without the greedy. Holds when no stored compulsory object is
+    /// marked remote, the remote stream (then exactly the unstored
+    /// objects, as the greedy pre-charges it) starts no earlier than the
+    /// all-local stream ends, with a margin above the float error of the
+    /// greedy's running sum, and every optional mark already is `stored ∧
+    /// standalone fetch wins`.
+    fn repartition_is_noop(&self, idx: usize) -> bool {
+        if self.stored_remote[idx] != 0 {
+            return false;
+        }
+        let p = &self.params;
+        let streams = &self.streams[idx];
+        let n = (self.comp_slot_off[idx + 1] - self.comp_slot_off[idx]) as f64;
+        let remote = p.repo_ovhd + streams.remote_bytes as f64 / p.repo_rate;
+        let local = p.local_ovhd + streams.local_bytes as f64 / p.local_rate;
+        let obase = self.opt_slot_off[idx] as usize;
+        let marks = &self.parts[idx].local_optional;
+        remote >= local * (1.0 + (n + 8.0) * f64::EPSILON)
+            && (obase..self.opt_slot_off[idx + 1] as usize).all(|s| {
+                let want = self.opt_slot_wins[s] && self.store.get(self.opt_slot_lobj[s] as usize);
+                marks[s - obase] == want
+            })
+    }
+
+    /// Runs the re-partition greedy of page `idx` without writing it:
+    /// returns the candidate's streams and leaves the compulsory and
+    /// optional slots whose candidate mark differs from the current one in
+    /// `scratch_comp_flips` / `scratch_opt_flips` (slot order).
+    fn repartition_candidate(&mut self, idx: usize) -> Streams {
         let base = self.comp_slot_off[idx] as usize;
         let cend = self.comp_slot_off[idx + 1] as usize;
         let obase = self.opt_slot_off[idx] as usize;
@@ -983,17 +1107,15 @@ impl<'a> SiteWork<'a> {
         // The slots whose mark would flip, in slot order. Optional slots
         // are local iff stored and the standalone fetch wins (precomputed
         // per slot).
-        let mut comp_flips = std::mem::take(&mut self.scratch_comp_flips);
-        let mut opt_flips = std::mem::take(&mut self.scratch_opt_flips);
-        comp_flips.clear();
-        opt_flips.clear();
         let part = &self.parts[idx];
-        comp_flips.extend(
+        self.scratch_comp_flips.clear();
+        self.scratch_opt_flips.clear();
+        self.scratch_comp_flips.extend(
             (0..cend - base)
                 .filter(|&slot| new_marks[slot] != part.local_compulsory[slot])
                 .map(|slot| slot as u32),
         );
-        opt_flips.extend(
+        self.scratch_opt_flips.extend(
             (obase..oend)
                 .filter(|&s| {
                     let new =
@@ -1002,40 +1124,20 @@ impl<'a> SiteWork<'a> {
                 })
                 .map(|s| (s - obase) as u32),
         );
-
-        let changed = if comp_flips.is_empty() && opt_flips.is_empty() {
-            false
-        } else {
-            let mut oc = self.opt_cost[idx].clone();
-            for &slot in &opt_flips {
-                let s = obase + slot as usize;
-                let now_local = !part.local_optional[slot as usize];
-                oc.flip(self.opt_slot_prob[s], self.opt_slot_size[s], now_local, &p);
-            }
-            let before = self.page_d(idx);
-            let after =
-                self.freq[idx] * (self.alpha1 * cand.response(&p) + self.alpha2 * oc.time());
-            if after < before - 1e-12 {
-                for &slot in &comp_flips {
-                    let slot = slot as usize;
-                    let mark = !self.parts[idx].local_compulsory[slot];
-                    self.set_compulsory(idx, slot, mark);
-                }
-                for &slot in &opt_flips {
-                    let slot = slot as usize;
-                    let mark = !self.parts[idx].local_optional[slot];
-                    self.set_optional(idx, slot, mark);
-                }
-                true
-            } else {
-                self.replay_rejected(idx, &comp_flips, &opt_flips, oc);
-                false
-            }
-        };
         self.scratch_marks = new_marks;
-        self.scratch_comp_flips = comp_flips;
-        self.scratch_opt_flips = opt_flips;
-        changed
+        cand
+    }
+
+    /// Page `idx`'s compulsory slots whose object is stored but marked
+    /// remote, as tracked (the auditor recounts it).
+    pub(crate) fn stored_remote(&self, idx: usize) -> u32 {
+        self.stored_remote[idx]
+    }
+
+    /// Re-partition calls so far that the no-op precheck answered without
+    /// running the greedy.
+    pub(crate) fn repartition_skipped(&self) -> u64 {
+        self.repartition_skipped
     }
 
     /// The float state a rejected repartition candidate leaves behind.
@@ -1357,12 +1459,112 @@ mod tests {
         );
     }
 
+    /// Site 0 with every mark local, priced with repository overhead
+    /// `repo_ovhd` and a repository pipe slower than the local one (so
+    /// every optional fetch wins locally). Each page's remote stream is
+    /// then empty, so the greedy's starting remote time is `repo_ovhd`
+    /// exactly.
+    fn all_local_at(sys: &System, repo_ovhd: f64) -> SiteWork<'_> {
+        let params = SiteParams {
+            local_ovhd: 0.01,
+            repo_ovhd,
+            local_rate: 1e6,
+            repo_rate: 1e5,
+        };
+        let placement = Placement::all_local(sys);
+        SiteWork::with_params(
+            sys,
+            SiteId::new(0),
+            &placement,
+            CostParams::default(),
+            false,
+            params,
+        )
+    }
+
     #[test]
-    fn total_f64_orders_properly() {
-        let mut keys = [TotalF64(3.0), TotalF64(-1.0), TotalF64(0.5)];
-        keys.sort();
-        assert_eq!(keys, [TotalF64(-1.0), TotalF64(0.5), TotalF64(3.0)]);
-        assert!(TotalF64(f64::NEG_INFINITY) < TotalF64(0.0));
+    fn precheck_margin_holds_to_the_ulp() {
+        let (sys, _) = make_work(13);
+        let probe = all_local_at(&sys, 1.0);
+        let idx = (0..probe.n_pages())
+            .max_by_key(|&i| probe.partition(i).local_compulsory.len())
+            .unwrap();
+        let page = sys.page(probe.pages()[idx]);
+        let p = *probe.params();
+        let n = page.n_compulsory() as f64;
+        let local = p.local_ovhd + probe.streams(idx).local_bytes as f64 / p.local_rate;
+        let margin = local * (1.0 + (n + 8.0) * f64::EPSILON);
+        for (r0, skips) in [
+            (margin.next_down(), false),
+            (margin, true),
+            (margin.next_up(), true),
+        ] {
+            let mut w = all_local_at(&sys, r0);
+            assert_eq!(w.stored_remote(idx), 0);
+            let before = w.partition(idx).clone();
+            // The greedy, spelled out: every object is stored, so each
+            // compulsory slot, largest first, goes local unless the
+            // remote stream (starting at `r0`) would end sooner.
+            let mut sizes: Vec<(u64, usize)> = page
+                .compulsory
+                .iter()
+                .enumerate()
+                .map(|(slot, &k)| (sys.object_size(k).get(), slot))
+                .collect();
+            sizes.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+            let (mut l, mut r) = (
+                p.local_ovhd + page.html_size.get() as f64 / p.local_rate,
+                r0,
+            );
+            let mut greedy = vec![false; sizes.len()];
+            for &(size, slot) in &sizes {
+                let (l_if, r_if) = (
+                    l + size as f64 / p.local_rate,
+                    r + size as f64 / p.repo_rate,
+                );
+                if r_if < l_if {
+                    r = r_if;
+                } else {
+                    l = l_if;
+                    greedy[slot] = true;
+                }
+            }
+            assert_eq!(greedy, before.local_compulsory, "R0 {r0:e}");
+            // Below the margin the full path runs; at and above it the
+            // precheck answers. Either way the page keeps its marks.
+            assert!(!w.repartition_page(idx), "R0 {r0:e}");
+            assert_eq!(w.repartition_skipped(), u64::from(skips), "R0 {r0:e}");
+            assert_eq!(w.partition(idx), &before);
+            w.validate_consistency();
+        }
+    }
+
+    #[test]
+    fn precheck_defers_to_the_greedy_when_a_stored_object_is_remote() {
+        let (sys, _) = make_work(13);
+        // A repository far slower than any local stream: the greedy puts
+        // every stored object local.
+        let mut w = all_local_at(&sys, 1e6);
+        let idx = (0..w.n_pages())
+            .find(|&i| !w.partition(i).local_compulsory.is_empty())
+            .unwrap();
+        w.set_compulsory(idx, 0, false);
+        assert_eq!(w.stored_remote(idx), 1);
+        assert!(w.repartition_page(idx), "the greedy takes the slot back");
+        assert_eq!(w.repartition_skipped(), 0);
+        assert_eq!(w.stored_remote(idx), 0);
+        assert!(!w.repartition_page(idx));
+        assert_eq!(w.repartition_skipped(), 1);
+    }
+
+    #[test]
+    fn auditor_recounts_stored_remote() {
+        let (sys, i) = make_work(14);
+        let mut w = work_for(&sys, i);
+        crate::audit::audit_site(&w, crate::audit::AuditStage::Validate).unwrap();
+        w.stored_remote[0] += 1;
+        let err = crate::audit::audit_site(&w, crate::audit::AuditStage::Validate).unwrap_err();
+        assert!(err.to_string().contains("stored-but-remote"), "{err}");
     }
 
     #[test]

@@ -26,6 +26,35 @@
 //! optional cost are advanced through the same apply-then-revert float
 //! sequence a trial write would have run, so every later key and the
 //! capacity stage's feasibility test see the bits they always saw.
+//!
+//! ## The no-op precheck
+//!
+//! About half of all re-partition attempts end with a candidate equal to
+//! the page's current marks, and almost all of those are decided before
+//! the greedy runs. When no stored compulsory object of the page is
+//! marked remote (`SiteWork` tracks that count per page), the remote
+//! stream is exactly the unstored objects, so
+//! `R0 = repo_ovhd + remote_bytes / repo_rate` is, bit for bit, the
+//! remote time the greedy starts from. Let `L` be
+//! `local_ovhd + local_bytes / local_rate` and `n` the page's compulsory
+//! slot count. If
+//!
+//! ```text
+//! R0 ≥ L · (1 + (n + 8) · f64::EPSILON)
+//! ```
+//!
+//! then every partial local sum the greedy forms is at most `R0`: an
+//! in-order sum of `n + 2` non-negative rounded terms exceeds the direct
+//! expression `L` by at most `(n + 5) · 2⁻⁵³` relative, and the margin is
+//! about twice that. Every `remote_if` is at least `R0`, so the greedy
+//! marks every stored slot local — the marks the page already has. If
+//! every optional mark also equals `stored ∧ local fetch wins`, the call
+//! returns `false` without running the greedy: the full path would have
+//! written nothing. Every other page, including one near the margin, runs
+//! the unchanged greedy. Debug builds run the greedy on skipped pages too
+//! and assert that it flips nothing. [`StorageReport::repartition_skipped`]
+//! counts the skips; [`StorageReport::repartition_calls`] still counts
+//! every attempt.
 
 use crate::lazyheap::LazyMinHeap;
 use crate::state::SiteWork;
@@ -56,6 +85,10 @@ pub struct StorageReport {
     /// local download to a deallocation.
     #[serde(default)]
     pub repartition_calls: u64,
+    /// The attempts among those that the no-op precheck answered without
+    /// running the greedy (see the module docs).
+    #[serde(default)]
+    pub repartition_skipped: u64,
     /// Bytes freed in total.
     pub bytes_freed: u64,
     /// Raw candidate-heap pops, including dead/stale entries the lazy
@@ -100,11 +133,12 @@ pub fn restore_storage_with(work: &mut SiteWork<'_>, criterion: DeallocCriterion
     // Min-heap of (criterion key, local object). Lazy revalidation on pop:
     // entries whose object was orphaned meanwhile are dead, entries whose
     // delta grew are re-keyed.
-    let mut heap: LazyMinHeap<u32> = LazyMinHeap::from_entries(
+    let mut heap = LazyMinHeap::from_entries(
         work.stored_locals()
-            .map(|o| (dealloc_key(work, o, criterion), o as u32)),
+            .map(|o| (dealloc_key(work, o, criterion), o as u64)),
     );
 
+    let skipped_before = work.repartition_skipped();
     let mut affected = Vec::new();
     while work.storage_used() > capacity {
         let Some(o) = heap.pop_current(
@@ -141,6 +175,7 @@ pub fn restore_storage_with(work: &mut SiteWork<'_>, criterion: DeallocCriterion
         report.feasible = false;
     }
     report.heap_pops = heap.pops();
+    report.repartition_skipped = work.repartition_skipped() - skipped_before;
     report
 }
 

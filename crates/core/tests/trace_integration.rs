@@ -58,6 +58,9 @@ fn every_planner_stage_lands_in_the_trace() {
     let calls = trace.counter("storage.repartition_calls");
     assert!(calls > 0);
     assert!(calls >= trace.counter("storage.repartitioned"));
+    // The no-op precheck answers some attempts, never more than were made.
+    let skipped = trace.counter("storage.repartition_skipped");
+    assert!(0 < skipped && skipped <= calls, "{skipped} of {calls}");
     // Capacity restoration may be a no-op at this squeeze, but its
     // counters are always stamped.
     assert!(trace.counters().contains_key("capacity.moves"));

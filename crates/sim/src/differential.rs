@@ -44,7 +44,8 @@
 use mmrepl_baselines::StaticRouter;
 use mmrepl_core::state::SlotKind;
 use mmrepl_core::{
-    LazyMinHeap, OffloadConfig, OptionalCost, PlannerConfig, ReplicationPolicy, SiteParams, Streams,
+    pack_slot, unpack_slot, LazyMinHeap, OffloadConfig, OptionalCost, PlannerConfig,
+    ReplicationPolicy, SiteParams, Streams,
 };
 use mmrepl_model::{
     CostModel, IdVec, ObjectId, PageId, PagePartition, Placement, SiteId, System, SystemBuilder,
@@ -432,18 +433,20 @@ impl<'a> RefSite<'a> {
             return;
         }
         self.drop_orphans();
-        let entries: Vec<(f64, ObjectId)> = self
+        let entries: Vec<(f64, u64)> = self
             .store
             .iter()
-            .map(|&k| (self.dealloc_key(k), k))
+            .map(|&k| (self.dealloc_key(k), u64::from(k.raw())))
             .collect();
-        let mut heap: LazyMinHeap<ObjectId> = LazyMinHeap::from_entries(entries);
+        let mut heap = LazyMinHeap::from_entries(entries);
+        let id = |k: u64| ObjectId::new(k as u32);
         while self.storage_used() > capacity {
             let Some(object) =
-                heap.pop_current(|k| self.store.contains(&k), |k| self.dealloc_key(k))
+                heap.pop_current(|k| self.store.contains(&id(k)), |k| self.dealloc_key(id(k)))
             else {
                 break;
             };
+            let object = id(object);
             let affected = self.dealloc(object);
             for idx in affected {
                 self.repartition_page(idx);
@@ -463,36 +466,33 @@ impl<'a> RefSite<'a> {
         if self.load() <= capacity + EPS {
             return;
         }
-        let mut heap: LazyMinHeap<(u32, u32, SlotKind)> = LazyMinHeap::new();
+        let mut heap = LazyMinHeap::new();
         for idx in 0..self.pages.len() {
             let part = &self.parts[idx];
             for (slot, &local) in part.local_compulsory.iter().enumerate() {
                 if local {
-                    let cand = (idx as u32, slot as u32, SlotKind::Compulsory);
+                    let cand = pack_slot(idx, slot, SlotKind::Compulsory);
                     heap.push(self.move_ratio(cand), cand);
                 }
             }
             for (slot, &local) in part.local_optional.iter().enumerate() {
                 if local {
-                    let cand = (idx as u32, slot as u32, SlotKind::Optional);
+                    let cand = pack_slot(idx, slot, SlotKind::Optional);
                     heap.push(self.move_ratio(cand), cand);
                 }
             }
         }
         while self.load() > capacity + EPS {
             let Some(cand) = heap.pop_current(
-                |(idx, slot, kind)| match kind {
-                    SlotKind::Compulsory => {
-                        self.parts[idx as usize].local_compulsory[slot as usize]
-                    }
-                    SlotKind::Optional => self.parts[idx as usize].local_optional[slot as usize],
+                |c| match unpack_slot(c) {
+                    (idx, slot, SlotKind::Compulsory) => self.parts[idx].local_compulsory[slot],
+                    (idx, slot, SlotKind::Optional) => self.parts[idx].local_optional[slot],
                 },
                 |c| self.move_ratio(c),
             ) else {
                 break;
             };
-            let (idx, slot, kind) = cand;
-            let (idx, slot) = (idx as usize, slot as usize);
+            let (idx, slot, kind) = unpack_slot(cand);
             let object = match kind {
                 SlotKind::Compulsory => {
                     let k = self.sys.page(self.pages[idx]).compulsory[slot];
@@ -513,8 +513,8 @@ impl<'a> RefSite<'a> {
 
     /// The capacity greedy key: objective damage per request/second freed
     /// (read-only model — no orphan refresh bonus).
-    fn move_ratio(&self, (idx, slot, kind): (u32, u32, SlotKind)) -> f64 {
-        let (idx, slot) = (idx as usize, slot as usize);
+    fn move_ratio(&self, cand: u64) -> f64 {
+        let (idx, slot, kind) = unpack_slot(cand);
         let page = self.sys.page(self.pages[idx]);
         let freq = page.freq.get();
         match kind {
@@ -542,8 +542,8 @@ impl<'a> RefSite<'a> {
 
     /// The absorption greedy key (objective change per unit of workload
     /// gained).
-    fn gain_ratio(&self, (idx, slot, kind): (u32, u32, SlotKind)) -> f64 {
-        let (idx, slot) = (idx as usize, slot as usize);
+    fn gain_ratio(&self, cand: u64) -> f64 {
+        let (idx, slot, kind) = unpack_slot(cand);
         let page = self.sys.page(self.pages[idx]);
         let freq = page.freq.get();
         match kind {
@@ -587,18 +587,18 @@ impl<'a> RefSite<'a> {
         if amount <= EPS {
             return 0.0;
         }
-        let mut heap: LazyMinHeap<(u32, u32, SlotKind)> = LazyMinHeap::new();
+        let mut heap = LazyMinHeap::new();
         for idx in 0..self.pages.len() {
             let part = &self.parts[idx];
             for (slot, &local) in part.local_compulsory.iter().enumerate() {
                 if !local {
-                    let cand = (idx as u32, slot as u32, SlotKind::Compulsory);
+                    let cand = pack_slot(idx, slot, SlotKind::Compulsory);
                     heap.push(self.gain_ratio(cand), cand);
                 }
             }
             for (slot, &local) in part.local_optional.iter().enumerate() {
                 if !local {
-                    let cand = (idx as u32, slot as u32, SlotKind::Optional);
+                    let cand = pack_slot(idx, slot, SlotKind::Optional);
                     heap.push(self.gain_ratio(cand), cand);
                 }
             }
@@ -606,10 +606,10 @@ impl<'a> RefSite<'a> {
         let mut absorbed = 0.0;
         let capacity = self.capacity();
         while absorbed + EPS < amount {
-            let Some((idx, slot, kind)) = heap.pop_current(|_| true, |c| self.gain_ratio(c)) else {
+            let Some(cand) = heap.pop_current(|_| true, |c| self.gain_ratio(c)) else {
                 break;
             };
-            let (idx, slot) = (idx as usize, slot as usize);
+            let (idx, slot, kind) = unpack_slot(cand);
             let page = self.sys.page(self.pages[idx]);
             let (object, gain) = match kind {
                 SlotKind::Compulsory => (page.compulsory[slot], page.freq.get()),
